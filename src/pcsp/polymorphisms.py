@@ -31,16 +31,6 @@ class ResourceGuard(RuntimeError):
 MAX_ARITY = 24
 MAX_POLY_CONSTRAINTS = 2_000_000
 
-_arity_cap = MAX_ARITY
-
-
-def set_arity_cap(n: int) -> int:
-    """Raise (or lower) the table-size guard; returns the previous cap."""
-    global _arity_cap
-    previous, _arity_cap = _arity_cap, n
-    return previous
-
-
 @dataclass(frozen=True)
 class BoolFunction:
     """An n-ary function over {0,..,domain_size-1} as a packed table."""
@@ -52,9 +42,8 @@ class BoolFunction:
     def __post_init__(self):
         if self.arity < 1:
             raise FunctionError("arity must be >= 1")
-        if self.arity > _arity_cap:
-            raise FunctionError(f"arity {self.arity} above cap {_arity_cap}; "
-                                "raise it with set_arity_cap if intended")
+        if self.arity > MAX_ARITY:
+            raise FunctionError(f"arity {self.arity} above cap {MAX_ARITY}")
         if not (2 <= self.domain_size <= 4):
             raise FunctionError("domain size must be between 2 and 4")
         size = self.domain_size ** self.arity

@@ -3,7 +3,10 @@
 Three backends, all over exact arithmetic: GF(2) elimination on bit-packed
 rows, integer linear feasibility by column reduction to a triangular system
 (unimodular column operations, so solutions map back exactly), and rational
-LP feasibility by a phase-one simplex with Bland's rule over Fractions.
+LP feasibility by a phase-one simplex with Bland's rule.  The simplex holds
+each tableau row as sparse integer numerators over one positive row
+denominator (the integer-preserving elimination of Edmonds and Bareiss), so
+it makes the pivots of the rational tableau without Fraction arithmetic.
 
 The promise solver translates instances through the recipe the classifier
 recognized.  Constraints whose variable tuple repeats a variable are routed
@@ -17,6 +20,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .classifier import (Complexity, UnsupportedTemplateError, classify,
@@ -192,117 +196,130 @@ class RationalInequalitySystem:
                 raise StructureError(f"bad sense {sense!r}")
 
 
+def _reduce(row: dict, den: int) -> int:
+    """Divide a row and its denominator by their gcd; returns the new denominator."""
+    g = gcd(den, *row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return den // g
+
+
+def _eliminate(row: dict, den: int, col: int, prow: dict, pden: int) -> int:
+    """Subtract row[col] times the pivot row (prow/pden, 1 at col) from
+    row/den, at the pivot row's nonzero columns; returns the new denominator."""
+    g = gcd(row[col], pden)
+    scale, f = pden // g, row[col] // g
+    if scale != 1:
+        for j in row:
+            row[j] *= scale
+    for j, v in prow.items():
+        w = row.get(j, 0) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    return _reduce(row, den * scale)
+
+
 def solve_lp_feasible(system: RationalInequalitySystem) -> Optional[List[Fraction]]:
-    """Phase-one simplex with Bland's rule, exact Fractions.
+    """Phase-one simplex with Bland's rule, exact integer rows.
 
     Returns a feasible point or None.  Variables are shifted by their lower
-    bounds; upper bounds become explicit rows.
+    bounds; upper bounds become explicit rows.  Each tableau row is a sparse
+    map column -> integer numerator (the right-hand side under key -1) over
+    one positive row denominator, divided by the gcd of its entries whenever
+    it changes.  It represents the rational tableau entry for entry, so the
+    entering column (the lowest non-basic index with positive reduced cost)
+    and the leaving row (least ratio, ties to the lower basic column) are
+    the textbook Bland pivots, and the returned vertex is theirs.
     """
     n = system.n_vars
-    rows = []
+    lower = [Fraction(lo) for lo in system.lower]
+    rows = []  # (nonzero coefficients, sense, shifted rhs), all Fractions
     for coeffs, sense, rhs in system.rows:
-        shift = sum(Fraction(c) * lo for c, lo in zip(coeffs, system.lower))
-        rows.append(([Fraction(c) for c in coeffs], sense, Fraction(rhs) - shift))
+        terms = {j: Fraction(c) for j, c in enumerate(coeffs) if c}
+        rows.append((terms, sense, Fraction(rhs) - sum(c * lower[j] for j, c in terms.items())))
     for i in range(n):
-        span = Fraction(system.upper[i]) - Fraction(system.lower[i])
+        span = Fraction(system.upper[i]) - lower[i]
         if span < 0:
             return None
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(1)
-        rows.append((coeffs, "<=", span))
+        rows.append(({i: Fraction(1)}, "<=", span))
 
-    m = len(rows)
     # columns: n structural, then one slack/surplus per inequality row,
-    # then one artificial per row that needs it
-    slack_col = {}
-    ncols = n
-    for i, (_, sense, _) in enumerate(rows):
-        if sense in ("<=", ">="):
-            slack_col[i] = ncols
-            ncols += 1
-    art_col = {}
-    tableau = []
-    basis = []
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        row = [Fraction(0)] * ncols
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-        if sense == "<=":
-            row[slack_col[i]] = Fraction(1)
-        elif sense == ">=":
-            row[slack_col[i]] = Fraction(-1)
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        row.append(Fraction(rhs))
-        tableau.append(row)
-        basis.append(None)
-    # basic variable per row: its slack when usable, else an artificial
-    extra = 0
-    for i, (_, sense, _) in enumerate(rows):
-        col = slack_col.get(i)
-        if col is not None and tableau[i][col] == 1:
-            basis[i] = col
+    # then one artificial per row that needs it; key -1 holds the rhs
+    ncols = n + sum(1 for _, sense, _ in rows if sense != "=")
+    tableau, dens, basis, art_rows = [], [], [], []
+    slack, total = n, ncols
+    for i, (terms, sense, rhs) in enumerate(rows):
+        den = lcm(rhs.denominator, *(c.denominator for c in terms.values()))
+        sign = -1 if rhs < 0 else 1
+        row = {j: sign * c.numerator * (den // c.denominator) for j, c in terms.items()}
+        if rhs:
+            row[-1] = sign * rhs.numerator * (den // rhs.denominator)
+        # basic variable per row: its slack when usable, else an artificial
+        if sense != "=":
+            row[slack] = sign * den if sense == "<=" else -sign * den
+            slack += 1
+        if sense != "=" and row[slack - 1] > 0:
+            basis.append(slack - 1)
         else:
-            basis[i] = ncols + extra
-            art_col[i] = ncols + extra
-            extra += 1
-    total = ncols + extra
-    for i in range(m):
-        pad = [Fraction(0)] * extra
-        if i in art_col:
-            pad[art_col[i] - ncols] = Fraction(1)
-        tableau[i] = tableau[i][:-1] + pad + [tableau[i][-1]]
+            row[total] = den
+            basis.append(total)
+            art_rows.append(i)
+            total += 1
+        tableau.append(row)
+        dens.append(den)
 
-    # objective: minimize the sum of artificials; reduced-cost row
-    z = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        if i in art_col:
-            for j in range(total + 1):
-                z[j] += tableau[i][j]
-    for i in range(m):
-        if i in art_col:
-            z[art_col[i]] -= Fraction(1)
-        # artificial columns start basic with cost 1; their reduced cost is 0
-    for i, bcol in enumerate(basis):
-        if bcol >= ncols:
-            z[bcol] = Fraction(0)
+    # objective: minimize the sum of artificials; its reduced-cost row is the
+    # sum of the artificial rows, where the artificial columns cancel
+    zden = lcm(*(dens[i] for i in art_rows))
+    z = {}
+    for i in art_rows:
+        scale = zden // dens[i]
+        for j, v in tableau[i].items():
+            if j < ncols:
+                z[j] = z.get(j, 0) + scale * v
+    z = {j: v for j, v in z.items() if v}
+    zden = _reduce(z, zden)
+    is_basic = [False] * total
+    for bcol in basis:
+        is_basic[bcol] = True
 
     while True:
-        enter = None
-        for j in range(total):
-            if j not in basis and z[j] > 0:
-                enter = j
-                break
+        enter = min((j for j, v in z.items() if v > 0 and j >= 0 and not is_basic[j]),
+                    default=None)
         if enter is None:
             break
-        leave, ratio = None, None
-        for i in range(m):
-            a = tableau[i][enter]
+        # least ratio rhs/a by cross-multiplication: rhs and a share their
+        # row's denominator, which cancels
+        leave = None
+        for i, row in enumerate(tableau):
+            a = row.get(enter, 0)
             if a > 0:
-                r = tableau[i][-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    leave, ratio = i, r
+                b = row.get(-1, 0)
+                if (leave is None or b * best_a < best_b * a
+                        or (b * best_a == best_b * a and basis[i] < basis[leave])):
+                    leave, best_a, best_b = i, a, b
         if leave is None:
             raise InternalCheckError("phase-one objective unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[leave])]
-        f = z[enter]
-        z = [v - f * w for v, w in zip(z, tableau[leave])]
+        prow = tableau[leave]
+        pden = dens[leave] = _reduce(prow, prow[enter])
+        for i, row in enumerate(tableau):
+            if i != leave and enter in row:
+                dens[i] = _eliminate(row, dens[i], enter, prow, pden)
+        zden = _eliminate(z, zden, enter, prow, pden)
+        is_basic[basis[leave]], is_basic[enter] = False, True
         basis[leave] = enter
 
-    if z[-1] != 0:
+    if -1 in z:
         return None
-    point = [Fraction(0)] * total
+    x = list(lower)
     for i, bcol in enumerate(basis):
-        point[bcol] = tableau[i][-1]
-    x = [point[i] + Fraction(system.lower[i]) for i in range(n)]
+        if bcol < n:
+            x[bcol] += Fraction(tableau[i].get(-1, 0), dens[i])
     for coeffs, sense, rhs in system.rows:
-        val = sum(Fraction(c) * xi for c, xi in zip(coeffs, x))
+        val = sum(Fraction(c) * x[j] for j, c in enumerate(coeffs) if c)
         ok = (val <= rhs if sense == "<=" else val >= rhs if sense == ">=" else val == rhs)
         if not ok:
             raise InternalCheckError("LP point fails re-check")

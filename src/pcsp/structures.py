@@ -7,7 +7,8 @@ ones) carry an explicit tuple list instead.
 
 Homomorphism search is exact backtracking with arc-consistency pruning and a
 fixed branching order, so witnesses are reproducible.  Template validation
-needs no search: a map between two-element domains is one of four.
+and relaxation checks need no search: a map between two-element domains is
+one of four.
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ def build_family(kind: str, *args: int) -> BoolRelation:
     else:  # const
         weights, name = frozenset([0, s]), f"const {s}"
     return BoolRelation(s, weights, name=name)
-
-
-def contains(rel: BoolRelation, tup: Sequence[int]) -> bool:
-    return rel.contains(tup)
 
 
 @dataclass(frozen=True)
@@ -344,17 +341,18 @@ def hom_exists(x, target: Structure) -> Optional[dict]:
 
 
 def is_relaxation(t_prime: Template, t: Template) -> bool:
-    """True iff t_prime relaxes t: A' -> A and B -> B' (as indexed structures)."""
+    """True iff t_prime relaxes t: A' -> A and B -> B' (as indexed structures).
+
+    All four sides have domain {0,1}, so each direction tries the four maps.
+    """
     if len(t_prime.pairs) != len(t.pairs):
         raise StructureError("templates have different signatures")
     for (a1, b1), (a2, b2) in zip(t_prime.pairs, t.pairs):
         if a1.arity != a2.arity:
             raise StructureError("templates have different signatures")
-    fwd = hom_exists(t_prime.side_structure("A"), t.side_structure("A"))
-    if fwd is None:
-        return False
-    back = hom_exists(t.side_structure("B"), t_prime.side_structure("B"))
-    return back is not None
+    a_sides = [(a1, a2) for (a1, _), (a2, _) in zip(t_prime.pairs, t.pairs)]
+    b_sides = [(b2, b1) for (_, b1), (_, b2) in zip(t_prime.pairs, t.pairs)]
+    return _a_maps_to_b(a_sides) and _a_maps_to_b(b_sides)
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,8 @@ def _vertex_oracle(sys: RationalInequalitySystem) -> bool:
         planes.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
     for i in range(n):
         unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        planes.append((unit, Fraction(0)))
-        planes.append((unit, Fraction(1)))
+        planes.append((unit, Fraction(sys.lower[i])))
+        planes.append((unit, Fraction(sys.upper[i])))
 
     def satisfies(x):
         for coeffs, sense, rhs in sys.rows:
@@ -119,7 +119,7 @@ def _vertex_oracle(sys: RationalInequalitySystem) -> bool:
                 return False
             if sense == "=" and val != rhs:
                 return False
-        return all(0 <= xi <= 1 for xi in x)
+        return all(lo <= xi <= hi for xi, lo, hi in zip(x, sys.lower, sys.upper))
 
     for subset in itertools.combinations(range(len(planes)), n):
         mat = [list(planes[i][0]) + [planes[i][1]] for i in subset]
@@ -158,6 +158,36 @@ def test_lp_against_vertex_enumeration(rng):
             rows.append((coeffs, sense, rhs))
         sys = RationalInequalitySystem(n, tuple(rows))
         assert (solve_lp_feasible(sys) is not None) == _vertex_oracle(sys)
+
+
+def test_lp_rational_boxes_against_vertex_enumeration(rng):
+    """Rational coefficients and boxes, negative right-hand sides and empty
+    boxes: feasibility matches the oracle and every point is re-checked."""
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        rows = tuple((tuple(q(-4, 4) for _ in range(n)), rng.choice(["<=", ">=", "="]),
+                      q(-6, 6)) for _ in range(rng.randint(1, 4)))
+        lower = tuple(q(-4, 4) for _ in range(n))
+        upper = tuple(lo + q(-1, 6) for lo in lower)
+        sys = RationalInequalitySystem(n, rows, lower, upper)
+        x = solve_lp_feasible(sys)
+        assert (x is not None) == _vertex_oracle(sys), sys
+        if x is not None:
+            for coeffs, sense, rhs in rows:
+                val = sum(c * xi for c, xi in zip(coeffs, x))
+                assert {"<=": val <= rhs, ">=": val >= rhs, "=": val == rhs}[sense]
+            assert all(lo <= xi <= hi for xi, lo, hi in zip(x, lower, upper))
+        seen.add("feasible" if x is not None else "infeasible")
+        if any(hi < lo for lo, hi in zip(lower, upper)):
+            seen.add("empty box")
+        if any(rhs < 0 for _, _, rhs in rows):
+            seen.add("negative rhs")
+    assert seen == {"feasible", "infeasible", "empty box", "negative rhs"}
 
 
 # -- promise solving -------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from pcsp.structures import (BoolRelation, Instance, ParseError, StructureError,
-                             Template, build_family, contains, format_instance,
+                             Template, build_family, format_instance,
                              format_template, hom_exists, is_relaxation,
                              parse_instance, parse_template)
 from conftest import NEQ, template
@@ -48,11 +48,11 @@ def test_family_rejects_bad_parameters():
 
 
 def test_contains_examples():
-    assert contains(build_family("exact", 1, 3), (0, 1, 0))
-    assert not contains(build_family("nae", 3), (1, 1, 1))
-    assert not contains(NEQ, (0, 0))
+    assert build_family("exact", 1, 3).contains((0, 1, 0))
+    assert not build_family("nae", 3).contains((1, 1, 1))
+    assert not NEQ.contains((0, 0))
     with pytest.raises(StructureError):
-        contains(NEQ, (0, 0, 0))
+        NEQ.contains((0, 0, 0))
 
 
 def test_contains_permutation_invariance(rng):
@@ -193,6 +193,22 @@ def test_template_validation_agrees_with_hom_exists(rng):
         except StructureError:
             got = False
         assert got == want, pairs
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_relaxation_agrees_with_hom_exists(rng):
+    """is_relaxation's two-element checks against the generic search on the
+    materialised sides, for random pair lists of one signature."""
+    outcomes = set()
+    for _ in range(1500):
+        arities = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        t_prime, t = (Template(tuple((_random_relation(rng, k), _random_relation(rng, k))
+                                     for k in arities), check_promise=False)
+                      for _ in range(2))
+        want = (hom_exists(t_prime.side_structure("A"), t.side_structure("A")) is not None
+                and hom_exists(t.side_structure("B"), t_prime.side_structure("B")) is not None)
+        assert is_relaxation(t_prime, t) == want, (t_prime, t)
         outcomes.add(want)
     assert outcomes == {True, False}
 
