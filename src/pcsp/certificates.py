@@ -552,6 +552,10 @@ def claim_distinct(a, b) -> dict:
     return {"kind": "distinct", "a": _term_to_json(a), "b": _term_to_json(b)}
 
 
+def claim_equal(a, b) -> dict:
+    return {"kind": "equal", "a": _term_to_json(a), "b": _term_to_json(b)}
+
+
 def claim_tame(blocks) -> dict:
     return {"kind": "tame", "blocks": list(blocks)}
 
@@ -757,43 +761,54 @@ def _twin_available(ks, ctx: ProofContext) -> bool:
 
 
 class _ChainBuilder:
-    """Emits nodes while tracking which node produced which parity edge, so
-    later nodes can reference exactly the facts their check needs."""
+    """Emits nodes, each checked at emission, and keeps the parity facts
+    their claims establish as a forest: every linked term points at its
+    parent through the node whose claim relates the two.  A relation between
+    two linked terms is then proved by the nodes on their tree path."""
 
     def __init__(self, ctx: ProofContext, q_weights: frozenset):
         self.ctx = ctx
         self.q_weights = q_weights
         self.nodes: List[Node] = []
-        self.adj: Dict[tuple, list] = {}
+        self.by_id: Dict[int, Node] = {}
+        # term -> None for a root, else (parent, parity to it, node id)
+        self.up: Dict[tuple, Optional[Tuple[tuple, int, int]]] = {}
 
-    def _note_edges(self, node: Node):
-        for x, y, parity in _claim_edges(node.claim, self.ctx):
-            self.adj.setdefault(x, []).append((y, parity, node.id))
-            self.adj.setdefault(y, []).append((x, parity, node.id))
+    def _link(self, x, y, parity: int, nid: int):
+        # A builder claim either names a new term or relates two terms the
+        # facts already relate, so the facts form trees and a claim between
+        # two linked terms adds nothing.
+        if x not in self.up and y not in self.up:
+            if y == ZERO:
+                x, y = y, x
+            self.up[x] = None  # the constant, when present, is the root
+            self.up[y] = (x, parity, nid)
+        elif y not in self.up:
+            self.up[y] = (x, parity, nid)
+        elif x not in self.up:
+            self.up[x] = (y, parity, nid)
+
+    def _to_root(self, t) -> Tuple[tuple, int, List[int]]:
+        """t's root, t's parity to it, and the ids of the nodes between."""
+        parity, ids = 0, []
+        while self.up[t] is not None:
+            t, par, nid = self.up[t]
+            parity ^= par
+            ids.append(nid)
+        return t, parity, ids
 
     def explain(self, x, y) -> Optional[Tuple[int, List[int]]]:
-        """Shortest fact path x..y: (parity, node ids along the way)."""
+        """The fact path x..y: (parity, node ids along the way)."""
         if x == y:
             return 0, []
-        from collections import deque
-        seen = {x: (0, None, None)}
-        queue = deque([x])
-        while queue:
-            cur = queue.popleft()
-            for nxt, parity, nid in self.adj.get(cur, ()):
-                if nxt in seen:
-                    continue
-                seen[nxt] = (seen[cur][0] ^ parity, cur, nid)
-                if nxt == y:
-                    ids = []
-                    back = nxt
-                    while back != x:
-                        _, prev, nid2 = seen[back]
-                        ids.append(nid2)
-                        back = prev
-                    return seen[y][0], sorted(set(ids))
-                queue.append(nxt)
-        return None
+        if x not in self.up or y not in self.up:
+            return None
+        rx, px, ids_x = self._to_root(x)
+        ry, py, ids_y = self._to_root(y)
+        if rx != ry:
+            return None
+        # the links above the meeting point appear on both sides
+        return px ^ py, sorted(set(ids_x) ^ set(ids_y))
 
     def refs_for(self, pairs) -> List[int]:
         ids = set()
@@ -806,13 +821,15 @@ class _ChainBuilder:
 
     def emit(self, claim: dict, justify: dict, refs) -> int:
         node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
-        reason = _check_node(node, self.ctx, self.q_weights,
-                             {n.id: n for n in self.nodes}, self.ctx.has_neq)
+        reason = _check_node(node, self.ctx, self.q_weights, self.by_id,
+                             self.ctx.has_neq)
         if reason is not None:
             raise GenerationError(f"generated node failed its own check: {reason} "
                                   f"({claim} / {justify})")
         self.nodes.append(node)
-        self._note_edges(node)
+        self.by_id[node.id] = node
+        for x, y, parity in _claim_edges(claim, self.ctx):
+            self._link(x, y, parity, node.id)
         return node.id
 
 
@@ -887,16 +904,20 @@ def _chain_case_4(cb: _ChainBuilder):
                       [(u(a + i), u(a)), (u(above), u(a))])
 
 
+def _build_chain(cb: _ChainBuilder):
+    if cb.ctx.case == "2":
+        _chain_case_2(cb)
+    elif cb.ctx.case == "1":
+        _chain_case_1(cb)
+    else:
+        _chain_case_4(cb)
+
+
 def gen_stepone_chain(ctx: ProofContext) -> List[Node]:
     """The 1-D tameness chain: case-specific plausible tuples plus negation
     steps, every node locally checked at emission."""
     cb = _ChainBuilder(ctx, ctx.q_weights)
-    if ctx.case == "2":
-        _chain_case_2(cb)
-    elif ctx.case == "1":
-        _chain_case_1(cb)
-    else:
-        _chain_case_4(cb)
+    _build_chain(cb)
     return cb.nodes
 
 
@@ -1212,21 +1233,44 @@ def _pigeonhole_interval(ctx: ProofContext) -> List[int]:
 
 
 class _CertBuilder(_ChainBuilder):
+    """The chain builder plus closure lemmas: a term whose tree path to its
+    root spans several facts gets one closure node stating its relation to
+    the root, and links straight to the root through it.  Every relation the
+    generator asks for then costs at most two references, however long the
+    chain behind it."""
+
     def __init__(self, ctx: ProofContext):
         super().__init__(ctx, ctx.q_weights)
         self.forced_ids: Dict[int, int] = {}
         self.abs_zero_id: Optional[int] = None
         self.tame_ids: Dict[tuple, int] = {}
 
+    def _to_root(self, t) -> Tuple[tuple, int, List[int]]:
+        path = []
+        while self.up[t] is not None:
+            path.append(t)
+            t = self.up[t][0]
+        root = t
+        # path[-1] links straight to the root; lemmas take the rest top-down.
+        # Terms two links below the constant are rectangles, which no rule
+        # asks about, so a lemma never relates a term to the constant.
+        for term in reversed(path[:-1]):
+            parent, parity, nid = self.up[term]
+            _, parent_parity, parent_id = self.up[parent]
+            parity ^= parent_parity
+            claim = (claim_distinct if parity else claim_equal)(term, root)
+            lemma = self.emit(claim, {"tag": "closure"}, [nid, parent_id])
+            self.up[term] = (root, parity, lemma)
+        if not path:
+            return root, 0, []
+        _, parity, nid = self.up[path[0]]
+        return root, parity, [nid]
+
     def build_chain(self):
-        if self.ctx.case == "2":
-            _chain_case_2(self)
-        elif self.ctx.case == "1":
-            _chain_case_1(self)
-        else:
-            _chain_case_4(self)
+        _build_chain(self)
         q_rel = BoolRelation(self.ctx.s, self.ctx.q_weights)
-        res = propagate(list(self.nodes), q_rel, self.ctx)
+        res = propagate([n for n in self.nodes if n.justify["tag"] != "closure"],
+                        q_rel, self.ctx)
         if not res.matches_tame_pattern(self.ctx):
             raise GenerationError(f"chain propagation failed: {res.status} "
                                   f"missing={res.missing}")

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pcsp.certificates import (CertificateError, EvalTuple,
+from pcsp.certificates import (Certificate, CertificateError, EvalTuple,
                                GenerationError, ProofContext,
                                StaggerParams, area,
                                as_almost_rectangle, build_shift_matrix_1d,
@@ -31,6 +33,13 @@ T24 = template((B("exact", 2, 4), B("nae", 4)))
 
 def canonical_template(ctx):
     return ctx.canonical_template()
+
+
+def assert_linear_refs(cert):
+    """Closure lemmas keep every node's hints constant in size."""
+    refs = [len(n.refs) for n in cert.nodes]
+    assert max(refs) <= 4
+    assert sum(refs) <= 3 * len(cert.nodes)
 
 
 # -- contexts, tuples, areas ----------------------------------------------------
@@ -313,6 +322,7 @@ def test_full_certificate_one_in_three():
     assert p == 13
     assert cert.conclusion == "contradiction"
     assert verify_certificate(cert, T13).ok
+    assert_linear_refs(cert)
     # the swapped template is covered by the same certificate
     swapped = template((B("exact", 2, 3), B("nae", 3)))
     assert verify_certificate(cert, swapped).ok
@@ -325,6 +335,36 @@ def test_full_certificates_other_cases():
         cert = gen_certificate(ctx)
         assert cert.conclusion == "contradiction"
         assert verify_certificate(cert, canonical_template(ctx)).ok, (case, r, s)
+        assert_linear_refs(cert)
+
+
+def test_every_hint_is_needed():
+    """Each node's refs are exactly the facts its rule uses: dropping any
+    one of them makes the verifier reject that very node."""
+    cert = gen_certificate(ProofContext(1, 3, "4a", 13, 1))
+    dropped = 0
+    for i, node in enumerate(cert.nodes):
+        for j in range(len(node.refs)):
+            fewer = dataclasses.replace(node, refs=node.refs[:j] + node.refs[j + 1:])
+            nodes = cert.nodes[:i] + (fewer,) + cert.nodes[i + 1:]
+            result = verify_certificate(Certificate(cert.context, nodes,
+                                                    cert.conclusion), T13)
+            assert not result.ok and result.failed_node == i, (i, node.refs[j])
+            dropped += 1
+    assert dropped > len(cert.nodes)
+
+
+def test_path_refs_certificate_still_verifies():
+    """A certificate whose chain nodes list whole fact paths in their refs
+    (the shape written before closure lemmas) is still a proof."""
+    text = (Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json").read_text()
+    cert = certificate_from_json(text)
+    assert max(len(n.refs) for n in cert.nodes) > 4
+    assert verify_certificate(cert, T13).ok
+    assert verify_certificate(cert, T13.swap01()).ok
+    for weak in (B("atmost", 2, 3), B("atleast", 1, 3)):
+        result = verify_certificate(cert, template((B("exact", 1, 3), weak)))
+        assert not result.ok and result.failed_node is not None
 
 
 def test_generation_reports_small_p():

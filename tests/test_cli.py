@@ -156,3 +156,26 @@ def test_solve_batch_mode(tmp_path):
     lines = out.splitlines()
     assert lines[0].endswith("YES") and lines[1].endswith("NO")
     assert code == 1
+
+
+def test_consecutive_runs_answer_as_fresh_processes(tmp_path):
+    """`run` keeps no state between calls: two solves with a usage error
+    between them answer in one process exactly as in three fresh ones."""
+    import subprocess
+    import sys
+
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    no_inst = write_instance(tmp_path, "a.inst", Instance(3, ((0, (0, 0, 0)),)))
+    yes_inst = write_instance(tmp_path, "b.inst",
+                              Instance(4, ((0, (0, 1, 2)), (0, (0, 1, 3)))))
+    calls = [["solve", "-t", tpath, "-i", yes_inst, "--witness"],
+             ["solve", "-t", tpath, "--witness"],  # no instance: usage error
+             ["solve", "-t", tpath, "-i", no_inst]]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "pcsp.cli", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh] == [0, 2, 1]
+    assert fresh[0][1].startswith("YES\n") and fresh[2][1] == "NO\n"
+    assert [invoke(argv) for argv in calls] == fresh
