@@ -9,12 +9,20 @@ the square composition) use bytes.
 Cyclicity, double cyclicity, the row/column transpose, and boundedness are
 all decided by exhaustive evaluation, which is the point: these are the
 desk-scale oracles the symbolic certificate machinery is checked against.
+
+Whole tables move at once.  A table is unpacked into one ASCII digit per
+entry, and a minor is an index-map gather: a minor map gives each target
+variable a weight, the source index of a target entry is the mixed-radix
+sum of its variables' weights, and the digits are read in target order in
+one pass.  The square composition and the boundedness check are gathers of
+the same kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, List, Tuple
 
 from .structures import BoolRelation, Template
@@ -53,7 +61,7 @@ class BoolFunction:
         else:
             if not isinstance(self.table, bytes) or len(self.table) != size:
                 raise FunctionError(f"table must be bytes of length {size}")
-            if any(v >= self.domain_size for v in self.table):
+            if max(self.table) >= self.domain_size:
                 raise FunctionError("table entry outside the domain")
 
     @property
@@ -69,8 +77,7 @@ class BoolFunction:
         return self.value_at(pack_args(args, self.domain_size))
 
     def values(self) -> Iterator[int]:
-        for i in range(self.size):
-            yield self.value_at(i)
+        return iter(_digits(self).translate(_DIGIT_VALUE))
 
 
 def pack_args(args, domain_size: int = 2) -> int:
@@ -88,25 +95,43 @@ def unpack_index(index: int, arity: int, domain_size: int = 2) -> tuple:
     return tuple(out)
 
 
+# entry values 0..9 <-> their ASCII digits, as bytes.translate tables
+_VALUE_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _digits(f: BoolFunction) -> bytes:
+    """The table as one ASCII digit per entry, entry 0 first."""
+    if f.domain_size == 2:
+        return format(f.table, f"0{f.size}b")[::-1].encode("ascii")
+    return f.table.translate(_VALUE_DIGIT)
+
+
+def _from_digits(arity: int, digits: bytes, domain_size: int) -> BoolFunction:
+    if domain_size == 2:
+        return BoolFunction(arity, int(digits[::-1], 2), 2)
+    return BoolFunction(arity, digits.translate(_DIGIT_VALUE), domain_size)
+
+
 def make_function(arity: int, values, domain_size: int = 2) -> BoolFunction:
     """Build a function from an iterable of table values in index order."""
-    vals = list(values)
+    # bytes already hold one value per entry
+    vals = values if isinstance(values, bytes) else list(values)
     if len(vals) != domain_size ** arity:
         raise FunctionError(f"expected {domain_size ** arity} values, got {len(vals)}")
     if domain_size == 2:
-        table = 0
-        for i, v in enumerate(vals):
-            if v not in (0, 1):
-                raise FunctionError(f"bad Boolean value {v!r}")
-            if v:
-                table |= 1 << i
-        return BoolFunction(arity, table, 2)
+        if vals.count(0) + vals.count(1) != len(vals):
+            bad = next(v for v in vals if v not in (0, 1))
+            raise FunctionError(f"bad Boolean value {bad!r}")
+        if isinstance(vals, list):
+            vals = bytes(map(bool, vals))
+        return _from_digits(arity, vals.translate(_VALUE_DIGIT), 2)
     return BoolFunction(arity, bytes(vals), domain_size)
 
 
 def function_from_callable(arity: int, fn, domain_size: int = 2) -> BoolFunction:
-    vals = (fn(unpack_index(i, arity, domain_size))
-            for i in range(domain_size ** arity))
+    # product() yields the argument tuples in index order
+    vals = map(fn, product(range(domain_size), repeat=arity))
     return make_function(arity, vals, domain_size)
 
 
@@ -162,17 +187,52 @@ class MinorMap:
                         tuple(rho.mapping[v] for v in self.mapping))
 
 
+def _radix_sums(digit_lists) -> list:
+    """Every sum of one element from each list, in mixed-radix order: the
+    first list varies slowest, like the first argument of a table."""
+    sums = [0]
+    for digits in digit_lists:
+        sums = [s + x for s in sums for x in digits]
+    return sums
+
+
+_GATHER_ROW = 256  # least number of entries read through one view
+
+
+def _gather(entries: bytes, digit_lists) -> bytes:
+    """entries[i] for every i in _radix_sums(digit_lists), in that order.
+
+    The trailing lists are summed once into a row of offsets, and each sum
+    of the leading lists reads that whole row through a view of entries
+    shifted by it, so no index is computed per entry.
+    """
+    split, row = len(digit_lists), 1
+    while split and row < _GATHER_ROW:
+        split -= 1
+        row *= len(digit_lists[split])
+    read_row = itemgetter(*_radix_sums(digit_lists[split:]))
+    view = memoryview(entries)
+    return b"".join([bytes(read_row(view[s:]))
+                     for s in _radix_sums(digit_lists[:split])])
+
+
+def _variable_offsets(pi: MinorMap, d: int) -> list:
+    """Per target variable v, the source-index offsets of its d values:
+    x * W[v], where W[v] sums d**(m-1-k) over the positions k that read v."""
+    m = pi.source_arity
+    weight = [0] * pi.target_arity
+    for k, v in enumerate(pi.mapping):
+        weight[v] += d ** (m - 1 - k)
+    return [[x * w for x in range(d)] for w in weight]
+
+
 def minor(f: BoolFunction, pi: MinorMap) -> BoolFunction:
     """The minor f^pi: g(x_0..x_{n-1}) = f(x_pi(0), ..., x_pi(m-1))."""
     if pi.source_arity != f.arity:
         raise FunctionError(f"minor map source arity {pi.source_arity} != {f.arity}")
     d = f.domain_size
-    n = pi.target_arity
-
-    def val(xs):
-        return f.value_at(pack_args((xs[v] for v in pi.mapping), d))
-
-    return function_from_callable(n, val, d)
+    return _from_digits(pi.target_arity,
+                        _gather(_digits(f), _variable_offsets(pi, d)), d)
 
 
 @dataclass(frozen=True)
@@ -231,12 +291,13 @@ def is_polymorphism(f: BoolFunction, t: Template) -> bool:
     if f.domain_size != 2:
         raise FunctionError("polymorphism testing is for Boolean functions")
     n = f.arity
+    vals = list(f.values())
     for pair in t.pairs:
         count = pair[0].count_tuples() ** n
         if count > MAX_POLY_CONSTRAINTS:
             raise ResourceGuard(f"{count} column selections exceed the guard")
         for rows, rel_b in _pair_constraints(pair, n):
-            image = tuple(f.value_at(r) for r in rows)
+            image = tuple(vals[r] for r in rows)
             if not rel_b.contains(image):
                 return False
     return True
@@ -273,11 +334,7 @@ def enumerate_polymorphisms(t: Template, n: int) -> Iterator[BoolFunction]:
 
     def dfs(entry: int) -> Iterator[BoolFunction]:
         if entry < 0:
-            table = 0
-            for i, v in enumerate(values):
-                if v:
-                    table |= 1 << i
-            yield BoolFunction(n, table, 2)
+            yield make_function(n, values)
             return
         for v in (0, 1):
             values[entry] = v
@@ -314,12 +371,11 @@ def compose_eq1(c: BoolFunction, p: int) -> BoolFunction:
     if p * p > MAX_ARITY:
         raise FunctionError(f"composed arity {p * p} above cap")
     d = c.domain_size
-
-    def val(xs):
-        inner = [c.value_at(pack_args(xs[j * p:(j + 1) * p], d)) for j in range(p)]
-        return c.value_at(pack_args(inner, d))
-
-    return function_from_callable(p * p, val, d)
+    inner = list(c.values())
+    # column j's argument block selects inner value v, which adds v * d**(p-1-j)
+    # to the outer index into c
+    columns = [[v * d ** (p - 1 - j) for v in inner] for j in range(p)]
+    return _from_digits(p * p, _gather(_digits(c), columns), d)
 
 
 def _block_rotation_map(p: int, block: int) -> MinorMap:
@@ -397,19 +453,24 @@ class BlockEquivalence:
         return len(self.blocks)
 
 
-def _pattern_values(pattern: int, p: int, x: int, y: int) -> tuple:
-    return tuple(x if (pattern >> (p - 1 - i)) & 1 else y for i in range(p))
+def _pattern_offsets(p: int, d: int, x: int, y: int) -> list:
+    """Per pattern, the index in a block of p arguments of its substitution:
+    x where the pattern has a 1 bit, y where it has a 0 bit."""
+    return [sum((x if (pat >> (p - 1 - i)) & 1 else y) * d ** (p - 1 - i)
+                for i in range(p))
+            for pat in range(2 ** p)]
 
 
 def derive_sim(c: BoolFunction) -> BlockEquivalence:
     """Group patterns by the binary function (x,y) -> c(pattern substituted)."""
     p = c.arity
     d = c.domain_size
+    vals = list(c.values())
+    images = [[vals[i] for i in _pattern_offsets(p, d, x, y)]
+              for x in range(d) for y in range(d)]
     groups: dict = {}
     for pat in range(2 ** p):
-        key = tuple(c(_pattern_values(pat, p, x, y))
-                    for x in range(d) for y in range(d))
-        groups.setdefault(key, []).append(pat)
+        groups.setdefault(tuple(img[pat] for img in images), []).append(pat)
     blocks = tuple(frozenset(g) for _, g in sorted(groups.items()))
     return BlockEquivalence(p, blocks)
 
@@ -417,29 +478,29 @@ def derive_sim(c: BoolFunction) -> BlockEquivalence:
 def is_b_bounded(t: BoolFunction, p: int, sim: BlockEquivalence) -> bool:
     """Check the pattern-swap identities: replacing one block's pattern by an
     equivalent one never changes t.  Single-block swaps compose to the full
-    component-wise condition."""
+    component-wise condition.
+
+    For each (x, y) and block position, one gather reads t at every choice
+    of patterns with the position's pattern varying fastest; two patterns
+    are interchangeable there iff their strided columns are equal.
+    """
     if t.arity != p * p:
         raise FunctionError(f"arity {t.arity} is not p^2 for p={p}")
     if sim.p != p:
         raise FunctionError("equivalence is over the wrong block width")
     d = t.domain_size
-    others = list(product(range(2 ** p), repeat=p - 1))
-    for blk in sim.blocks:
-        pats = sorted(blk)
-        base = pats[0]
-        for other in pats[1:]:
+    entries = _digits(t)
+    swaps = [(min(blk), other) for blk in sim.blocks for other in blk
+             if other != min(blk)]
+    width = 2 ** p
+    for x in range(d):
+        for y in range(d):
+            in_block = _pattern_offsets(p, d, x, y)
+            at = [[o * d ** (p * (p - 1 - pos)) for o in in_block] for pos in range(p)]
             for pos in range(p):
-                for rest in others:
-                    full_a = rest[:pos] + (base,) + rest[pos:]
-                    full_b = rest[:pos] + (other,) + rest[pos:]
-                    for x in range(d):
-                        for y in range(d):
-                            args_a = [v for pat in full_a
-                                      for v in _pattern_values(pat, p, x, y)]
-                            args_b = [v for pat in full_b
-                                      for v in _pattern_values(pat, p, x, y)]
-                            if t(args_a) != t(args_b):
-                                return False
+                table = _gather(entries, at[:pos] + at[pos + 1:] + [at[pos]])
+                if any(table[a::width] != table[b::width] for a, b in swaps):
+                    return False
     return True
 
 
@@ -450,12 +511,9 @@ def is_b_bounded(t: BoolFunction, p: int, sim: BlockEquivalence) -> bool:
 def _doubly_cyclic_orbits(p: int):
     """Orbits of {0,1}^(p^2) inputs under in-block rotations and block shift."""
     n = p * p
-    gens = [[_ for _ in m.mapping] for m in
+    # a generator moves input i to the source index of entry i of its minor
+    gens = [_radix_sums(_variable_offsets(m, 2)) for m in
             [_block_rotation_map(p, b) for b in range(p)] + [_block_shift_map(p)]]
-
-    def act(index: int, mapping) -> int:
-        xs = unpack_index(index, n)
-        return pack_args(tuple(xs[mapping[i]] for i in range(n)))
 
     orbit_of = [-1] * (2 ** n)
     orbits = []
@@ -469,7 +527,7 @@ def _doubly_cyclic_orbits(p: int):
             cur = stack.pop()
             members.append(cur)
             for g in gens:
-                nxt = act(cur, g)
+                nxt = g[cur]
                 if orbit_of[nxt] < 0:
                     orbit_of[nxt] = oid
                     stack.append(nxt)
@@ -507,12 +565,7 @@ def enumerate_doubly_cyclic_polymorphisms(t: Template, p: int) -> List[BoolFunct
 
     def dfs(k: int):
         if k == m:
-            table = 0
-            for oid, members in enumerate(orbits):
-                if vals[oid]:
-                    for idx in members:
-                        table |= 1 << idx
-            found.append(BoolFunction(n, table, 2))
+            found.append(make_function(n, [vals[o] for o in orbit_of]))
             return
         for v in (0, 1):
             vals[k] = v
@@ -542,13 +595,13 @@ def parse_function(text: str) -> BoolFunction:
     except ValueError:
         raise FunctionError("bad arity or domain size")
     digits = lines[1]
-    try:
-        vals = [int(ch) for ch in digits]
-    except ValueError:
+    if not digits.isdecimal():
         raise FunctionError("table must be a digit string")
-    return make_function(arity, vals, d)
+    if not digits.isascii():  # other Unicode decimal digits, read as int() reads them
+        digits = "".join(str(int(ch)) for ch in digits)
+    return make_function(arity, digits.encode("ascii").translate(_DIGIT_VALUE), d)
 
 
 def format_function(f: BoolFunction) -> str:
-    body = "".join(str(v) for v in f.values())
+    body = _digits(f).decode("ascii")
     return f"fn {f.arity} {f.domain_size}\n{body}\n"

@@ -1,7 +1,10 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import pcsp
 from pcsp.structures import Instance, Template, build_family
 
 NEQ = build_family("neq")
@@ -13,6 +16,14 @@ def template(*pairs) -> Template:
 
 def with_neq(a, b) -> Template:
     return Template(((a, b), (NEQ, NEQ)))
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that must import this pcsp, also
+    when the suite found it through pytest's `pythonpath` setting alone."""
+    src = str(Path(pcsp.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import json
 from pcsp.cli import run
 from pcsp.polymorphisms import format_function, parity_function
 from pcsp.structures import Instance, format_instance, format_template
-from conftest import template, with_neq
+from conftest import child_env, template, with_neq
 from pcsp.structures import build_family
 
 
@@ -144,7 +144,7 @@ def test_outputs_byte_identical_across_processes(tmp_path):
         "import sys; sys.stdout.write(out.getvalue())\n"
     )
     runs = [subprocess.run([sys.executable, "-c", script], capture_output=True,
-                           check=True).stdout for _ in range(2)]
+                           check=True, env=child_env()).stdout for _ in range(2)]
     assert runs[0] == runs[1] and len(runs[0]) > 1000
 
 
@@ -174,7 +174,7 @@ def test_consecutive_runs_answer_as_fresh_processes(tmp_path):
     fresh = []
     for argv in calls:
         proc = subprocess.run([sys.executable, "-m", "pcsp.cli", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         fresh.append((proc.returncode, proc.stdout))
     assert [code for code, _ in fresh] == [0, 2, 1]
     assert fresh[0][1].startswith("YES\n") and fresh[2][1] == "NO\n"

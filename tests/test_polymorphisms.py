@@ -10,8 +10,9 @@ from pcsp.polymorphisms import (BlockEquivalence, BoolFunction, FunctionError,
                                 function_from_callable, is_b_bounded, is_cyclic,
                                 is_doubly_cyclic, is_polymorphism,
                                 majority_function, make_function, minor,
-                                parity_function, parse_function, projection,
-                                satisfies_h1, sigma_transform)
+                                pack_args, parity_function, parse_function,
+                                projection, satisfies_h1, sigma_transform,
+                                unpack_index)
 from pcsp.structures import build_family
 from conftest import NEQ, template, with_neq
 
@@ -64,6 +65,36 @@ def test_minor_composition_law(rng):
         lhs = minor(minor(f, pi), rho)
         rhs = minor(f, pi.compose(rho))
         assert lhs.table == rhs.table
+
+
+def _minor_by_definition(f, pi):
+    """g(xs) = f(xs[pi(0)], ..., xs[pi(m-1)]), one target entry at a time."""
+    d = f.domain_size
+    out = []
+    for i in range(d ** pi.target_arity):
+        xs = unpack_index(i, pi.target_arity, d)
+        out.append(f.value_at(pack_args([xs[v] for v in pi.mapping], d)))
+    return out
+
+
+def test_minor_matches_definition(rng):
+    kinds = set()
+    for d in (2, 3, 4):
+        for m, n in [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(60)]:
+            f = random_function(rng, m, d)
+            pi = MinorMap(m, n, tuple(rng.randrange(n) for _ in range(m)))
+            used = len(set(pi.mapping))
+            kinds.add((used < m, used < n))  # (identifies variables, has dummies)
+            g = minor(f, pi)
+            assert (g.arity, g.domain_size) == (n, d)
+            assert [g.value_at(i) for i in range(g.size)] == _minor_by_definition(f, pi)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    # tables large enough that the gather reads them through several views
+    for d, m, n in ((2, 11, 10), (2, 9, 10), (3, 7, 6), (4, 5, 5)):
+        f = random_function(rng, m, d)
+        pi = MinorMap(m, n, tuple(rng.randrange(n) for _ in range(m)))
+        g = minor(f, pi)
+        assert [g.value_at(i) for i in range(g.size)] == _minor_by_definition(f, pi)
 
 
 def test_minor_arity_mismatch():
@@ -171,6 +202,25 @@ def test_compose_eq1_diagonal_unfolds(rng):
             assert t((a,) * 9) == c((inner, inner, inner))
 
 
+def _compose_by_definition(c, p):
+    d = c.domain_size
+    out = []
+    for i in range(d ** (p * p)):
+        xs = unpack_index(i, p * p, d)
+        inner = [c.value_at(pack_args(xs[j * p:(j + 1) * p], d)) for j in range(p)]
+        out.append(c.value_at(pack_args(inner, d)))
+    return out
+
+
+def test_compose_eq1_matches_definition(rng):
+    for d, p, count in ((2, 2, 5), (2, 3, 5), (2, 4, 1), (3, 2, 5), (3, 3, 2), (4, 2, 5)):
+        for _ in range(count):
+            c = random_function(rng, p, d)
+            t = compose_eq1(c, p)
+            assert (t.arity, t.domain_size) == (p * p, d)
+            assert [t.value_at(i) for i in range(t.size)] == _compose_by_definition(c, p)
+
+
 def test_compose_eq1_arity_check():
     with pytest.raises(FunctionError):
         compose_eq1(parity_function(3), 4)
@@ -255,6 +305,52 @@ def test_b_bounded_rejects_coarse_partition():
     assert not is_b_bounded(parity_function(9), 3, sim)
 
 
+def test_b_bounded_rejects_one_flipped_entry(rng):
+    """Flip one entry that a single equivalent-pattern swap reaches, at every
+    block position and every (x, y) with x != y: each flip must be caught.
+
+    Besides derive_sim's partition, the flips are checked against a partition
+    that merges only the swapped pair a ~ b, chosen so that {~a, ~b} misses
+    it and the other positions hold neither a nor b nor their complements.
+    Then the flipped entry is reached by exactly one swap (one position, one
+    (x, y), one choice of the other patterns), so a check that skips any of
+    them misses a case.
+    """
+    p = 3
+    full = 2 ** p - 1
+    for d in (2, 3):
+        c = random_cyclic(rng, p, d)
+        t = compose_eq1(c, p)
+        sim = derive_sim(c)
+        assert is_b_bounded(t, p, sim)
+        pairs = [(a, b) for blk in sim.blocks for a in blk for b in blk
+                 if a != b and not {full ^ a, full ^ b} & {a, b}]
+        assert pairs  # a cyclic c puts the rotations 1, 2, 4 in one block
+        values = [t.value_at(i) for i in range(t.size)]
+        for pos in range(p):
+            for x in range(d):
+                for y in range(d):
+                    if x == y:
+                        continue
+                    for _ in range(3):
+                        a, b = rng.choice(pairs)
+                        lone = BlockEquivalence(p, (frozenset((a, b)),) + tuple(
+                            frozenset([q]) for q in range(2 ** p) if q not in (a, b)))
+                        assert is_b_bounded(t, p, lone)
+                        others = [q for q in range(2 ** p)
+                                  if q not in (a, b, full ^ a, full ^ b)]
+                        pats = [rng.choice(others) for _ in range(p)]
+                        pats[pos] = rng.choice((a, b))
+                        args = [x if (pat >> (p - 1 - i)) & 1 else y
+                                for pat in pats for i in range(p)]
+                        flipped = list(values)
+                        idx = pack_args(args, d)
+                        flipped[idx] = (flipped[idx] + 1) % d
+                        bad = make_function(p * p, flipped, d)
+                        assert not is_b_bounded(bad, p, sim), (d, pos, x, y)
+                        assert not is_b_bounded(bad, p, lone), (d, pos, x, y)
+
+
 def test_b_bounded_singletons_trivial():
     sim = BlockEquivalence(3, tuple(frozenset([p]) for p in range(8)))
     t = compose_eq1(majority_function(3), 3)
@@ -286,6 +382,48 @@ def test_function_file_round_trip(rng):
         assert g.table == f.table and g.domain_size == d
     with pytest.raises(FunctionError):
         parse_function("fn 2 2\n0101\nextra\n")
+
+
+def test_parse_function_messages():
+    cases = [("fn 2 2\n0120\n", "bad Boolean value 2"),
+             ("fn 2 2\n01a0\n", "table must be a digit string"),
+             ("fn 2 2\n01 0\n", "table must be a digit string"),
+             ("fn 2 2\n010\n", "expected 4 values, got 3"),
+             ("fn 2 2\n01010\n", "expected 4 values, got 5"),
+             ("fn 2 3\n0120\n", "expected 9 values, got 4"),
+             ("fn 1 3\n013\n", "table entry outside the domain")]
+    for text, message in cases:
+        with pytest.raises(FunctionError) as err:
+            parse_function(text)
+        assert str(err.value) == message, text
+
+
+def test_make_function_boolean_values():
+    assert make_function(2, [0, 1, 1, 0]).table == 0b0110
+    assert make_function(1, [False, True]).table == 0b10
+    for vals, message in (([0, 2], "bad Boolean value 2"),
+                          ([0, "1"], "bad Boolean value '1'"),
+                          ([-1, 0], "bad Boolean value -1")):
+        with pytest.raises(FunctionError) as err:
+            make_function(1, vals)
+        assert str(err.value) == message
+    assert list(BoolFunction(2, 0b0110).values()) == [0, 1, 1, 0]
+
+
+def test_format_function_pads_boolean_tables():
+    assert format_function(BoolFunction(1, 0)) == "fn 1 2\n00\n"
+    assert format_function(BoolFunction(1, 0b10)) == "fn 1 2\n01\n"
+    assert format_function(BoolFunction(1, 0b01)) == "fn 1 2\n10\n"
+    assert format_function(BoolFunction(3, 0b1)) == "fn 3 2\n10000000\n"
+    assert format_function(BoolFunction(4, 0)) == "fn 4 2\n" + "0" * 16 + "\n"
+    for d in (2, 3):
+        for n in range(1, 9 if d == 2 else 5):
+            for v in range(d):
+                f = constant_function(n, v, d)
+                text = format_function(f)
+                assert text == f"fn {n} {d}\n{str(v) * d ** n}\n"
+                g = parse_function(text)
+                assert (g.arity, g.domain_size, g.table) == (n, d, f.table)
 
 
 def test_enumerate_resource_guard():
