@@ -52,14 +52,32 @@ MAX_FLIP_DEPTH = 64
 MAX_FREE_ROOTS = 4
 
 
+# Miller-Rabin on the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); larger p are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality; exact for p < MAX_PRIME."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -110,6 +128,9 @@ class ProofContext(StaggerParams):
             raise CertificateError(f"unknown preset {self.preset!r}")
         if self.b < 0:
             raise CertificateError("b must be >= 0")
+        if self.p >= MAX_PRIME:
+            raise CertificateError(f"p={self.p} is not below {MAX_PRIME}, "
+                                   "where the primality test is exact")
         if not _is_prime(self.p):
             raise CertificateError(f"p={self.p} is not prime")
         if self.p % self.s != 1:
@@ -528,8 +549,7 @@ def certificate_from_json(text: str) -> Certificate:
             raise CertificateError("stored threshold disagrees with the case")
         nodes = []
         for nd in obj["nodes"]:
-            nodes.append(Node(int(nd["id"]), nd["claim"], nd["justify"],
-                              tuple(int(x) for x in nd["refs"])))
+            nodes.append(Node(int(nd["id"]), nd["claim"], nd["justify"], tuple(nd["refs"])))
         conclusion = str(obj["conclusion"])
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, CertificateError):
@@ -560,13 +580,20 @@ def claim_tame(blocks) -> dict:
     return {"kind": "tame", "blocks": list(blocks)}
 
 
+def _claim_bit(claim: dict) -> int:
+    bit = claim["bit"]
+    if type(bit) is not int or bit not in (0, 1):
+        raise CertificateError(f"claim bit {bit!r} is not 0 or 1")
+    return bit
+
+
 def _claim_edges(claim: dict, ctx: ProofContext):
     """The parity edges a (verified) claim contributes as a fact."""
     kind = claim["kind"]
     if kind == "forced":
-        return [(sigma_term(claim["k"]), sigma_term(0), claim["bit"] & 1)]
+        return [(sigma_term(claim["k"]), sigma_term(0), _claim_bit(claim))]
     if kind == "absolute":
-        return [(sigma_term(claim["k"]), ZERO, claim["bit"] & 1)]
+        return [(sigma_term(claim["k"]), ZERO, _claim_bit(claim))]
     if kind == "distinct":
         return [(_term_from_json(claim["a"]), _term_from_json(claim["b"]), 1)]
     if kind == "equal":
@@ -1046,9 +1073,11 @@ def _check_completion_payload(node: Node, ctx: ProofContext, want_m: int):
         l = tuple(int(v) for v in j["l"])
         m = int(j["m"])
         pad = int(j["pad"])
-        twin = bool(j["twin"])
+        twin = j["twin"]
     except (KeyError, TypeError, ValueError):
         return "malformed payload"
+    if type(twin) is not bool:
+        return "twin flag is not true or false"
     if node.claim.get("kind") != "tame" or tuple(node.claim["blocks"]) != z:
         return "claim does not name the constructed rectangle"
     if m != want_m:
@@ -1070,6 +1099,8 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
                 nodes_by_id, template_has_neq: bool) -> Optional[str]:
     """Re-derive one node's claim; None when sound, else the reason."""
     for rid in node.refs:
+        if type(rid) is not int:
+            return f"reference {rid!r} is not an integer"
         if rid not in nodes_by_id or rid >= node.id:
             return f"reference {rid} is not an earlier node"
     try:
@@ -1085,7 +1116,9 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         ks = [int(k) for k in tuples[0]]
         if not is_plausible_1d(ks, ctx):
             return f"tuple {ks} is not plausible"
-        twin = bool(node.justify.get("twin", False))
+        twin = node.justify.get("twin")
+        if type(twin) is not bool:
+            return "twin flag is not true or false"
         if twin:
             if not template_has_neq:
                 return "complement rule needs a disequality pair"

@@ -3,15 +3,21 @@
 Three backends, all over exact arithmetic: GF(2) elimination on bit-packed
 rows, integer linear feasibility by column reduction to a triangular system
 (unimodular column operations, so solutions map back exactly), and rational
-LP feasibility by a phase-one simplex with Bland's rule.  The simplex holds
-each tableau row as sparse integer numerators over one positive row
-denominator (the integer-preserving elimination of Edmonds and Bareiss), so
-it makes the pivots of the rational tableau without Fraction arithmetic.
+LP feasibility by a bounded-variable phase-one simplex (Dantzig 1955;
+Chvatal 1983, ch. 8): box bounds stay in the ratio test instead of becoming
+rows, and the entering column has the largest reduced cost, with Bland's
+rule after a run of degenerate pivots.  The simplex holds each tableau row
+as sparse integer numerators over one positive row denominator (the
+integer-preserving elimination of Edmonds and Bareiss), so it pivots the
+rational tableau without Fraction arithmetic.
 
 The promise solver translates instances through the recipe the classifier
 recognized.  Constraints whose variable tuple repeats a variable are routed
 through explicit convex-combination columns in the LP backend, because a
-single weight row is not exact under repetition.
+single weight row is not exact under repetition.  Before the LP, each
+component of the 2-colored disequality graph becomes one column, so the
+disequality rows disappear; the point is lifted back and re-checked against
+the untransformed rows.
 """
 
 from __future__ import annotations
@@ -222,42 +228,57 @@ def _eliminate(row: dict, den: int, col: int, prow: dict, pden: int) -> int:
     return _reduce(row, den * scale)
 
 
-def solve_lp_feasible(system: RationalInequalitySystem) -> Optional[List[Fraction]]:
-    """Phase-one simplex with Bland's rule, exact integer rows.
+def _complement(row: dict, den: int, col: int, span: Fraction) -> int:
+    """Substitute span - y for the column's y in row/den, which moves a
+    column from one bound to the other; returns the new denominator."""
+    a, p, q = row[col], span.numerator, span.denominator
+    if q != 1:
+        for j in row:
+            row[j] *= q
+    row[col] = -a * q
+    b = row.get(-1, 0) - a * p
+    if b:
+        row[-1] = b
+    else:
+        row.pop(-1, None)
+    return _reduce(row, den * q)
 
-    Returns a feasible point or None.  Variables are shifted by their lower
-    bounds; upper bounds become explicit rows.  Each tableau row is a sparse
-    map column -> integer numerator (the right-hand side under key -1) over
-    one positive row denominator, divided by the gcd of its entries whenever
-    it changes.  It represents the rational tableau entry for entry, so the
-    entering column (the lowest non-basic index with positive reduced cost)
-    and the leaving row (least ratio, ties to the lower basic column) are
-    the textbook Bland pivots, and the returned vertex is theirs.
+
+# Consecutive degenerate pivots after which the entering rule turns from the
+# largest reduced cost to Bland's lowest index, which cannot cycle.
+DEGENERATE_RUN = 20
+
+
+def _phase_one(system: RationalInequalitySystem):
+    """Bounded-variable phase-one simplex on exact integer rows.
+
+    Returns None when some box is empty, else the final tableau (rows, dens,
+    basis, flipped, span).  rows[i] / dens[i] is constraint row i with basic
+    column basis[i]; rows[-1] is the reduced-cost row of the sum of the
+    artificials, whose constant (key -1) is zero exactly when the system is
+    feasible.  flipped[j] marks a structural column held as span[j] - y_j.
     """
-    n = system.n_vars
-    lower = [Fraction(lo) for lo in system.lower]
-    rows = []  # (nonzero coefficients, sense, shifted rhs), all Fractions
-    for coeffs, sense, rhs in system.rows:
-        terms = {j: Fraction(c) for j, c in enumerate(coeffs) if c}
-        rows.append((terms, sense, Fraction(rhs) - sum(c * lower[j] for j, c in terms.items())))
-    for i in range(n):
-        span = Fraction(system.upper[i]) - lower[i]
-        if span < 0:
-            return None
-        rows.append(({i: Fraction(1)}, "<=", span))
-
-    # columns: n structural, then one slack/surplus per inequality row,
-    # then one artificial per row that needs it; key -1 holds the rhs
-    ncols = n + sum(1 for _, sense, _ in rows if sense != "=")
-    tableau, dens, basis, art_rows = [], [], [], []
+    n, lower = system.n_vars, system.lower
+    span = [hi - lo if lo else hi for lo, hi in zip(lower, system.upper)]
+    if any(u < 0 for u in span):
+        return None
+    # columns: n structural (0 <= y <= span after the lower-bound shift; a
+    # zero span is fixed and left out), one slack or surplus per inequality
+    # row, then one artificial per row whose slack cannot start basic; each
+    # row is a sparse map column -> numerator over one positive denominator,
+    # with the right-hand side under key -1
+    ncols = n + sum(1 for _, sense, _ in system.rows if sense != "=")
+    rows, dens, basis, art_rows = [], [], [], []
     slack, total = n, ncols
-    for i, (terms, sense, rhs) in enumerate(rows):
+    for i, (coeffs, sense, rhs) in enumerate(system.rows):
+        terms = {j: c for j, c in enumerate(coeffs) if c}
+        rhs = Fraction(rhs) - sum(c * lower[j] for j, c in terms.items() if lower[j])
         den = lcm(rhs.denominator, *(c.denominator for c in terms.values()))
         sign = -1 if rhs < 0 else 1
-        row = {j: sign * c.numerator * (den // c.denominator) for j, c in terms.items()}
+        row = {j: sign * c.numerator * (den // c.denominator)
+               for j, c in terms.items() if span[j]}
         if rhs:
             row[-1] = sign * rhs.numerator * (den // rhs.denominator)
-        # basic variable per row: its slack when usable, else an artificial
         if sense != "=":
             row[slack] = sign * den if sense == "<=" else -sign * den
             slack += 1
@@ -268,7 +289,7 @@ def solve_lp_feasible(system: RationalInequalitySystem) -> Optional[List[Fractio
             basis.append(total)
             art_rows.append(i)
             total += 1
-        tableau.append(row)
+        rows.append(row)
         dens.append(den)
 
     # objective: minimize the sum of artificials; its reduced-cost row is the
@@ -276,56 +297,114 @@ def solve_lp_feasible(system: RationalInequalitySystem) -> Optional[List[Fractio
     zden = lcm(*(dens[i] for i in art_rows))
     z = {}
     for i in art_rows:
-        scale = zden // dens[i]
-        for j, v in tableau[i].items():
+        for j, v in rows[i].items():
             if j < ncols:
-                z[j] = z.get(j, 0) + scale * v
+                z[j] = z.get(j, 0) + zden // dens[i] * v
     z = {j: v for j, v in z.items() if v}
-    zden = _reduce(z, zden)
+    rows.append(z)
+    dens.append(_reduce(z, zden))
     is_basic = [False] * total
     for bcol in basis:
         is_basic[bcol] = True
-
+    flipped = [False] * n
+    stall = 0
     while True:
-        enter = min((j for j, v in z.items() if v > 0 and j >= 0 and not is_basic[j]),
-                    default=None)
-        if enter is None:
-            break
-        # least ratio rhs/a by cross-multiplication: rhs and a share their
-        # row's denominator, which cancels
+        # an artificial that left the basis stays at zero
+        cands = [(v, j) for j, v in z.items() if v > 0 and 0 <= j < ncols and not is_basic[j]]
+        if not cands:
+            return rows, dens, basis, flipped, span
+        if stall < DEGENERATE_RUN:
+            enter = max(cands, key=lambda vj: (vj[0], -vj[1]))[1]
+        else:
+            enter = min(j for _, j in cands)
+        # the least step, as (num, den) with den > 0 compared by
+        # cross-multiplication: the entering column reaching its own span,
+        # a basic column falling to 0, or a structural one rising to its
+        # span; ties go to the bound flip, then to the lower basic column
+        best = (span[enter].numerator, span[enter].denominator) if enter < n else None
         leave = None
-        for i, row in enumerate(tableau):
-            a = row.get(enter, 0)
+        for i, bcol in enumerate(basis):
+            a = rows[i].get(enter)
+            if not a or (a < 0 and bcol >= n):
+                continue
+            b = rows[i].get(-1, 0)
             if a > 0:
-                b = row.get(-1, 0)
-                if (leave is None or b * best_a < best_b * a
-                        or (b * best_a == best_b * a and basis[i] < basis[leave])):
-                    leave, best_a, best_b = i, a, b
-        if leave is None:
+                num, den = b, a
+            else:
+                u = span[bcol]
+                num, den = u.numerator * dens[i] - u.denominator * b, -a * u.denominator
+            if (best is None or num * best[1] < best[0] * den or (
+                    num * best[1] == best[0] * den and leave is not None and bcol < basis[leave])):
+                leave, best = i, (num, den)
+        if best is None:
             raise InternalCheckError("phase-one objective unbounded")
-        prow = tableau[leave]
-        pden = dens[leave] = _reduce(prow, prow[enter])
-        for i, row in enumerate(tableau):
-            if i != leave and enter in row:
-                dens[i] = _eliminate(row, dens[i], enter, prow, pden)
-        zden = _eliminate(z, zden, enter, prow, pden)
-        is_basic[basis[leave]], is_basic[enter] = False, True
-        basis[leave] = enter
+        stall = stall + 1 if best[0] == 0 else 0
+        flip = enter
+        if leave is not None:
+            prow = rows[leave]
+            if prow[enter] > 0:
+                flip = None
+            else:  # the basic column leaves at its span
+                flip = basis[leave]
+                for j in prow:
+                    prow[j] = -prow[j]
+            pden = dens[leave] = _reduce(prow, prow[enter])
+            for i, row in enumerate(rows):
+                if i != leave and enter in row:
+                    dens[i] = _eliminate(row, dens[i], enter, prow, pden)
+            is_basic[basis[leave]], is_basic[enter] = False, True
+            basis[leave] = enter
+        if flip is not None:
+            flipped[flip] = not flipped[flip]
+            for i, row in enumerate(rows):
+                if flip in row:
+                    dens[i] = _complement(row, dens[i], flip, span[flip])
 
-    if -1 in z:
-        return None
-    x = list(lower)
-    for i, bcol in enumerate(basis):
-        if bcol < n:
-            x[bcol] += Fraction(tableau[i].get(-1, 0), dens[i])
+
+def _holds(val, sense: str, rhs) -> bool:
+    return val <= rhs if sense == "<=" else val >= rhs if sense == ">=" else val == rhs
+
+
+def _check_point(system: RationalInequalitySystem, x, what: str) -> None:
+    """Exact re-check of a point against every row and box of a system,
+    with x scaled to integers by the lcm d of its denominators."""
+    d = lcm(*(xi.denominator for xi in x))
+    xd = [xi.numerator * (d // xi.denominator) for xi in x]
     for coeffs, sense, rhs in system.rows:
-        val = sum(Fraction(c) * x[j] for j, c in enumerate(coeffs) if c)
-        ok = (val <= rhs if sense == "<=" else val >= rhs if sense == ">=" else val == rhs)
-        if not ok:
-            raise InternalCheckError("LP point fails re-check")
+        if not _holds(sum(c * xd[j] for j, c in enumerate(coeffs) if c), sense, rhs * d):
+            raise InternalCheckError(f"{what} fails re-check")
     for xi, lo, hi in zip(x, system.lower, system.upper):
         if not (lo <= xi <= hi):
-            raise InternalCheckError("LP point violates its box")
+            raise InternalCheckError(f"{what} violates its box")
+
+
+def solve_lp_feasible(system: RationalInequalitySystem) -> Optional[List[Fraction]]:
+    """Feasibility by a bounded-variable phase-one simplex; a point or None.
+
+    Variables are shifted by their lower bounds, and the upper bounds stay
+    bounds: the ratio test also stops where a basic column reaches its span
+    or the entering column its own (a bound flip), and a column at its
+    upper bound is complemented (y = span - y') on the integer rows.  Each
+    tableau row is a sparse map column -> integer numerator over one
+    positive row denominator, divided by the gcd of its entries whenever it
+    changes.  The entering column has the largest positive reduced cost;
+    after DEGENERATE_RUN degenerate pivots in a row it is the lowest such
+    index (Bland's rule) until a pivot makes progress.  The leaving row has
+    the least ratio, ties to the lower basic column.  The point is
+    re-checked exactly against every row and box before it is returned.
+    """
+    tab = _phase_one(system)
+    if tab is None:
+        return None
+    rows, dens, basis, flipped, span = tab
+    if rows[-1].get(-1):  # the sum of the artificials stays above zero
+        return None
+    value = [Fraction(0)] * system.n_vars
+    for i, bcol in enumerate(basis):
+        if bcol < system.n_vars:
+            value[bcol] = Fraction(rows[i].get(-1, 0), dens[i])
+    x = [lo + (u - v if f else v) for lo, u, v, f in zip(system.lower, span, value, flipped)]
+    _check_point(system, x, "LP point")
     return x
 
 
@@ -464,7 +543,9 @@ def _neq_components(t: Template, inst: Instance):
     """2-color the disequality graph.
 
     Returns (component id per var, color per var) or None when some odd
-    cycle (or self-loop) makes the B side unsatisfiable outright.
+    cycle (or self-loop) makes the B side unsatisfiable outright.  The ids
+    are 0, 1, ... in the order of each component's least variable, which
+    has color 0.
     """
     n = inst.var_count
     adj = [[] for _ in range(n)]
@@ -477,21 +558,67 @@ def _neq_components(t: Template, inst: Instance):
             adj[v].append(u)
     comp = [-1] * n
     color = [0] * n
+    count = 0
     for start in range(n):
         if comp[start] >= 0:
             continue
-        comp[start] = start
+        comp[start] = count
+        count += 1
         stack = [start]
         while stack:
             u = stack.pop()
             for w in adj[u]:
                 if comp[w] < 0:
-                    comp[w] = start
+                    comp[w] = comp[start]
                     color[w] = color[u] ^ 1
                     stack.append(w)
                 elif color[w] == color[u]:
                     return None
     return comp, color
+
+
+def _presolve(system: RationalInequalitySystem, nx: int, comp, color):
+    """Give each disequality component one column.
+
+    Of the first nx variables, x_v becomes x_c for color 0 and 1 - x_c for
+    color 1, where c is v's component and column; the columns after nx
+    keep their order behind the component columns.  A disequality row
+    becomes the constant row 0 = 0.  Rows that become constant are dropped
+    when they hold; None when one fails, which makes the untransformed
+    system infeasible.  `_lp_translate` boxes every variable to [0, 1], and
+    so every component column.
+    """
+    k = max(comp, default=-1) + 1
+    width = k + system.n_vars - nx
+    rows = []
+    for coeffs, sense, rhs in system.rows:
+        new = [0] * width
+        shift = 0
+        for j, c in enumerate(coeffs):
+            if not c:
+                continue
+            if j >= nx:
+                new[k + j - nx] += c
+            elif color[j]:
+                new[comp[j]] -= c
+                shift += c
+            else:
+                new[comp[j]] += c
+        if shift:
+            rhs -= shift
+        if any(new):
+            rows.append((tuple(new), sense, rhs))
+        elif not _holds(0, sense, rhs):
+            return None
+    return RationalInequalitySystem(width, tuple(rows),
+                                    (Fraction(0),) * k + system.lower[nx:],
+                                    (Fraction(1),) * k + system.upper[nx:])
+
+
+def _lift(point, comp, color) -> List[Fraction]:
+    """The inverse of `_presolve`'s substitution."""
+    x = [1 - point[c] if f else point[c] for c, f in zip(comp, color)]
+    return x + point[max(comp, default=-1) + 1:]
 
 
 MAX_ORIENTATION_SEARCH = 1 << 20
@@ -518,11 +645,18 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
     if two_color is None:
         return PromiseAnswer(False)
     comp, color = two_color
-    point = solve_lp_feasible(_lp_translate(t_work, inst))
+    full = _lp_translate(t_work, inst)
+    reduced = _presolve(full, inst.var_count, comp, color)
+    if reduced is None:
+        return PromiseAnswer(False)
+    point = solve_lp_feasible(reduced)
     if point is None:
         return PromiseAnswer(False)
-    x = point[:inst.var_count]
-    half = Fraction(1, 2)
+    x = _lift(point, comp, color)
+    _check_point(full, x, "lifted LP point")
+    # side[v] is the sign of x_v - 1/2
+    side = [(d > 0) - (d < 0) for d in (2 * xv.numerator - xv.denominator
+                                        for xv in x[:inst.var_count])]
 
     clauses = []
     for ri, tup in inst.constraints:
@@ -530,8 +664,8 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
         if a.is_neq():
             continue
         r = max(a.weights)
-        g = sum(1 for v in tup if x[v] > half)
-        halves = [v for v in tup if x[v] == half]
+        g = sum(1 for v in tup if side[v] > 0)
+        halves = [v for v in tup if side[v] == 0]
         if g == 0 and len(halves) == 2 * r:
             # forbid the orientation that rounds every half here to one
             pinned = {}
@@ -560,10 +694,8 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
 
     rounded = []
     for v in range(inst.var_count):
-        if x[v] > half:
-            rounded.append(1)
-        elif x[v] < half:
-            rounded.append(0)
+        if side[v]:
+            rounded.append(int(side[v] > 0))
         else:
             rounded.append(orientation.get(comp[v], 0) ^ color[v])
     for ri, tup in inst.constraints:

@@ -478,3 +478,63 @@ def test_generation_honest_under_paper_preset():
     the generator must say so rather than emit something weaker."""
     with pytest.raises(GenerationError):
         find_minimal_p(1, 3, "4a", 1, preset="paper", p_limit=60)
+
+
+def _loose_mutations(obj):
+    """(node id, mutated certificate) pairs whose loose field values used to
+    be coerced into a valid proof: claim bits read as bit & 1, refs read by
+    int(), and twin flags read by bool()."""
+    nodes = obj["nodes"]
+
+    def at(i, edit):
+        mutated = json.loads(json.dumps(obj))
+        edit(mutated["nodes"][i])
+        return i, mutated
+
+    def set_in(key, field, value):
+        return lambda nd: nd[key].__setitem__(field, value)
+
+    bit1 = next(i for i, nd in enumerate(nodes) if nd["claim"].get("bit") == 1)
+    bit0 = next(i for i, nd in enumerate(nodes) if nd["claim"].get("bit") == 0)
+    for value in (-1, True, 10 ** 18 + 9):
+        yield at(bit1, set_in("claim", "bit", value))
+    yield at(bit0, set_in("claim", "bit", False))
+    with_ref1 = next(i for i, nd in enumerate(nodes) if 1 in nd["refs"])
+    for value in (1.5, True):
+        yield at(with_ref1, lambda nd, v=value: nd.__setitem__(
+            "refs", [v if r == 1 else r for r in nd["refs"]]))
+    for tag in ("plausible1d", "halving", "completion"):
+        i = next((i for i, nd in enumerate(nodes)
+                  if nd["justify"]["tag"] == tag and nd["justify"]["twin"] is False), None)
+        if i is None:
+            continue
+        for value in (0, [], {}, None):
+            yield at(i, set_in("justify", "twin", value))
+        yield at(i, lambda nd: nd["justify"].pop("twin"))
+
+
+def test_loose_field_values_are_invalid():
+    fixture = (Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json").read_text()
+    fresh = certificate_to_json(gen_certificate(ProofContext(1, 3, "4a", 13, 1)))
+    tags = set()
+    count = 0
+    for text in (fixture, fresh):
+        obj = json.loads(text)
+        assert verify_certificate(certificate_from_json(text), T13).ok
+        tags.update(nd["justify"]["tag"] for nd in obj["nodes"])
+        for i, mutated in _loose_mutations(obj):
+            result = verify_certificate(certificate_from_json(json.dumps(mutated)), T13)
+            assert not result.ok and result.failed_node == i, (i, mutated["nodes"][i])
+            count += 1
+    assert {"plausible1d", "halving", "completion"} <= tags
+    assert count == 2 * 6 + 4 * 5
+
+
+def test_context_refuses_p_beyond_exact_primality():
+    from pcsp.certificates import MAX_PRIME
+    p = MAX_PRIME + next(d for d in range(3) if (MAX_PRIME + d) % 3 == 1)
+    with pytest.raises(CertificateError, match="primality test is exact"):
+        ProofContext(1, 3, "4a", p, 0)
+    assert ProofContext(1, 3, "4a", 2 ** 61 - 1, 0).p == 2 ** 61 - 1
+    with pytest.raises(CertificateError, match="not prime"):
+        ProofContext(1, 3, "4a", 3215031751, 0)  # strong pseudoprime to bases 2, 3, 5, 7

@@ -179,3 +179,40 @@ def test_consecutive_runs_answer_as_fresh_processes(tmp_path):
     assert [code for code, _ in fresh] == [0, 2, 1]
     assert fresh[0][1].startswith("YES\n") and fresh[2][1] == "NO\n"
     assert [invoke(argv) for argv in calls] == fresh
+
+
+def _context_only_certificate(p: int) -> str:
+    return json.dumps({"context": {"r": 1, "s": 3, "case": "4a", "p": p, "b": 0,
+                                   "theta": "1/3", "exponent_preset": "desk"},
+                       "nodes": [], "conclusion": "tame_base"})
+
+
+def test_verify_large_prime_context_is_prompt(tmp_path):
+    """p = 2^61 - 1 is prime and 1 mod 3; its primality test used to run by
+    trial division for many seconds.  An empty proof is rejected (exit 1)."""
+    import time
+
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_context_only_certificate(2 ** 61 - 1), encoding="utf-8")
+    start = time.process_time()
+    code, out = invoke(["verify", str(cpath), "-t", tpath])
+    assert time.process_time() - start < 1.0
+    assert code == 1 and out.startswith("INVALID")
+
+
+def test_p_beyond_exact_primality_is_refused(tmp_path, capsys):
+    """Above the bound where Miller-Rabin on bases 2..41 is exact, certify
+    and verify both refuse with exit 2 and a one-line message."""
+    from pcsp.certificates import MAX_PRIME
+
+    p = next(q for q in range(MAX_PRIME, MAX_PRIME + 3) if q % 3 == 1)
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_context_only_certificate(p), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["verify", str(cpath), "-t", tpath],
+                 ["certify", "-r", "1", "-s", "3", "--case", "4a", "-p", str(p), "-b", "0"]):
+        assert invoke(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "primality" in err

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from pcsp import solvers
 from pcsp.classifier import UnsupportedTemplateError
 from pcsp.solvers import (GF2System, IntLinearSystem, RationalInequalitySystem,
                           brute_force_promise, solve_diophantine, solve_gf2,
@@ -160,6 +162,13 @@ def test_lp_against_vertex_enumeration(rng):
         assert (solve_lp_feasible(sys) is not None) == _vertex_oracle(sys)
 
 
+def _assert_in_system(sys: RationalInequalitySystem, x) -> None:
+    for coeffs, sense, rhs in sys.rows:
+        val = sum(c * xi for c, xi in zip(coeffs, x))
+        assert {"<=": val <= rhs, ">=": val >= rhs, "=": val == rhs}[sense], (sys, x)
+    assert all(lo <= xi <= hi for xi, lo, hi in zip(x, sys.lower, sys.upper)), (sys, x)
+
+
 def test_lp_rational_boxes_against_vertex_enumeration(rng):
     """Rational coefficients and boxes, negative right-hand sides and empty
     boxes: feasibility matches the oracle and every point is re-checked."""
@@ -178,16 +187,73 @@ def test_lp_rational_boxes_against_vertex_enumeration(rng):
         x = solve_lp_feasible(sys)
         assert (x is not None) == _vertex_oracle(sys), sys
         if x is not None:
-            for coeffs, sense, rhs in rows:
-                val = sum(c * xi for c, xi in zip(coeffs, x))
-                assert {"<=": val <= rhs, ">=": val >= rhs, "=": val == rhs}[sense]
-            assert all(lo <= xi <= hi for xi, lo, hi in zip(x, lower, upper))
+            _assert_in_system(sys, x)
         seen.add("feasible" if x is not None else "infeasible")
         if any(hi < lo for lo, hi in zip(lower, upper)):
             seen.add("empty box")
         if any(rhs < 0 for _, _, rhs in rows):
             seen.add("negative rhs")
     assert seen == {"feasible", "infeasible", "empty box", "negative rhs"}
+
+
+def test_lp_bounded_columns_against_vertex_enumeration(rng):
+    """Zero-width boxes, negative lower bounds and spans that are not
+    integers (complemented with a denominator): feasibility matches the
+    oracle and every point lies in its rows and box."""
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        rows = tuple((tuple(q(-4, 4) for _ in range(n)), rng.choice(["<=", ">=", "="]),
+                      q(-6, 6)) for _ in range(rng.randint(1, 4)))
+        lower = tuple(q(-4, 2) for _ in range(n))
+        spans = [rng.choice((Fraction(0), Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5)))))
+                 for _ in range(n)]
+        sys = RationalInequalitySystem(n, rows, lower, tuple(lo + u for lo, u in zip(lower, spans)))
+        x = solve_lp_feasible(sys)
+        assert (x is not None) == _vertex_oracle(sys), sys
+        if x is not None:
+            _assert_in_system(sys, x)
+        seen.add("feasible" if x is not None else "infeasible")
+        seen.update(label for label, hit in (("zero width", 0 in spans),
+                                             ("negative lower", min(lower) < 0),
+                                             ("fractional span", any(u.denominator > 1 for u in spans)))
+                    if hit)
+    assert seen == {"feasible", "infeasible", "zero width", "negative lower", "fractional span"}
+
+
+@functools.lru_cache(maxsize=None)
+def _degenerate_systems():
+    """30 seeded systems of 8 to 10 rows with right-hand side 0 and one or
+    two other rows, each with the oracle's answer."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(30):
+        rows = [(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(3)),
+                 rng.choice(["<=", ">=", "="]), 0) for _ in range(rng.randint(8, 10))]
+        rows += [(tuple(rng.randint(-2, 2) for _ in range(3)), rng.choice(["<=", ">=", "="]),
+                  Fraction(rng.randint(-2, 4), rng.randint(1, 3))) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(rows)
+        sys = RationalInequalitySystem(3, tuple(rows))
+        out.append((sys, _vertex_oracle(sys)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("run", [0, 1, solvers.DEGENERATE_RUN])
+def test_lp_degenerate_systems_against_vertex_enumeration(run, monkeypatch):
+    """The zero rows make most pivots degenerate, so with a short run the
+    entering rule falls back to Bland's (with run 0 it is Bland's
+    throughout); the answers still match the oracle."""
+    monkeypatch.setattr(solvers, "DEGENERATE_RUN", run)
+    for sys, feasible in _degenerate_systems():
+        x = solve_lp_feasible(sys)
+        assert (x is not None) == feasible, sys
+        if x is not None:
+            _assert_in_system(sys, x)
+    assert {feasible for _, feasible in _degenerate_systems()} == {True, False}
 
 
 # -- promise solving -------------------------------------------------------------
@@ -287,3 +353,58 @@ def test_gf2_witness_is_a_homomorphism(rng):
             w = ans.witness
             for ri, tup in inst.constraints:
                 assert t.pairs[ri][0].contains(tuple(w[v] for v in tup))
+
+
+def _disequality_heavy_instance(t: Template, rng: random.Random, n: int):
+    """Disequalities mostly along a hidden 2-coloring, weight constraints on
+    the first `core` variables (some repeat the two ends of one disequality,
+    so their variables share a component) and a tail of variables that only
+    disequalities among themselves touch.  Returns the instance and whether
+    it has a repeated-variable constraint inside one component."""
+    neq = next(ri for ri, (a, _) in enumerate(t.pairs) if a.is_neq())
+    k = t.pairs[1 - neq][0].arity
+    color = [rng.randrange(2) for _ in range(n)]
+    core = n - rng.randint(2, 3)
+    cons, edges = [], []
+    for _ in range(rng.randint(n, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if (u < core) == (v < core) and (color[u] != color[v] or rng.random() < 0.05):
+            cons.append((neq, (u, v)))
+            if v < core:
+                edges.append((u, v))
+    shared = False
+    for _ in range(rng.randint(2, core // 2 + 2)):
+        if edges and rng.random() < 0.3:
+            u, v = rng.choice(edges)
+            tup = [u, v] + [rng.choice((u, v)) for _ in range(k - 2)]
+            rng.shuffle(tup)
+            shared = True
+        else:
+            tup = rng.sample(range(core), k)
+        cons.append((1 - neq, tuple(tup)))
+    rng.shuffle(cons)
+    return Instance(n, tuple(cons)), shared
+
+
+@pytest.mark.parametrize("name", ["two_sat", "majority24", "exact_item1", "two_sat4"])
+def test_presolve_promise_soundness_heavy_in_disequalities(name):
+    """The disequality presolve keeps the promise contract: A-satisfiable
+    instances get YES, B-unsatisfiable ones NO, and every YES witness lies
+    in B.  two_sat4 has even arity, so a weight row over two disequality
+    pairs becomes constant and can fail outright."""
+    t = CATALOG.get(name) or with_neq(B("atmost", 1, 4), B("atmost", 1, 4))
+    rng = random.Random(f"presolve/{name}")
+    seen = set()
+    for _ in range(25):
+        inst, shared = _disequality_heavy_instance(t, rng, rng.randint(10, 16))
+        a_sat, b_sat = brute_force_promise(t, inst)
+        ans = solve_pcsp(t, inst)
+        assert ans.yes or not a_sat, inst
+        assert not ans.yes or b_sat, inst
+        if ans.yes:
+            for ri, tup in inst.constraints:
+                assert t.pairs[ri][1].contains(tuple(ans.witness[v] for v in tup)), inst
+        seen.add("YES" if ans.yes else "NO")
+        if shared:
+            seen.add("shared component")
+    assert seen == {"YES", "NO", "shared component"}
