@@ -22,6 +22,7 @@ which preset guided its generation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -35,6 +36,18 @@ class CertificateError(ValueError):
 
 class GenerationError(RuntimeError):
     """The requested certificate cannot be built at these parameters."""
+
+
+def _int(value, what: str) -> int:
+    """Read an integer field: an int and nothing else (no bool, float or
+    string), so that no loose value is coerced into a proof."""
+    if type(value) is not int:
+        raise CertificateError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _ints(values, what: str) -> tuple:
+    return tuple(_int(v, what) for v in values)
 
 
 PRESETS = {
@@ -96,6 +109,8 @@ class StaggerParams:
     p: int
 
     def __post_init__(self):
+        for name in ("r", "s", "p"):
+            _int(getattr(self, name), name)
         if self.case not in CASES:
             raise CertificateError(f"unknown case {self.case!r}")
         if self.r < 0 or self.s < 1 or self.p < 1:
@@ -126,7 +141,7 @@ class ProofContext(StaggerParams):
         super().__post_init__()
         if self.preset not in PRESETS:
             raise CertificateError(f"unknown preset {self.preset!r}")
-        if self.b < 0:
+        if _int(self.b, "b") < 0:
             raise CertificateError("b must be >= 0")
         if self.p >= MAX_PRIME:
             raise CertificateError(f"p={self.p} is not below {MAX_PRIME}, "
@@ -220,9 +235,6 @@ class EvalTuple:
             raise CertificateError(f"flat length {k} out of range")
         full, rest = divmod(k, p)
         return cls(tuple([p] * full + ([rest] if rest else []) + [0] * (p - full - (1 if rest else 0))))
-
-    def total(self) -> int:
-        return sum(self.blocks)
 
 
 def _blocks_of(z) -> tuple:
@@ -497,8 +509,8 @@ def _term_to_json(term):
 
 def _term_from_json(obj):
     if "sigma" in obj:
-        return sigma_term(obj["sigma"])
-    return rect_term(obj["blocks"])
+        return sigma_term(_int(obj["sigma"], "sigma index"))
+    return rect_term(_ints(obj["blocks"], "block height"))
 
 
 @dataclass(frozen=True)
@@ -542,15 +554,18 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"bad JSON: {e}")
     try:
         c = obj["context"]
-        ctx = ProofContext(int(c["r"]), int(c["s"]), str(c["case"]), int(c["p"]),
-                           int(c["b"]), str(c["exponent_preset"]))
-        num, den = str(c["theta"]).split("/")
-        if Fraction(int(num), int(den)) != ctx.theta:
+        ctx = ProofContext(c["r"], c["s"], c["case"], c["p"], c["b"],
+                           c["exponent_preset"])
+        # theta is stored as the string the writer prints, in lowest terms
+        theta = ctx.theta
+        if c["theta"] != f"{theta.numerator}/{theta.denominator}":
             raise CertificateError("stored threshold disagrees with the case")
+        # ids are kept as read; the verifier rejects a node whose id is not
+        # its index
         nodes = []
         for nd in obj["nodes"]:
-            nodes.append(Node(int(nd["id"]), nd["claim"], nd["justify"], tuple(nd["refs"])))
-        conclusion = str(obj["conclusion"])
+            nodes.append(Node(nd["id"], nd["claim"], nd["justify"], tuple(nd["refs"])))
+        conclusion = obj["conclusion"]
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, CertificateError):
             raise
@@ -591,15 +606,16 @@ def _claim_edges(claim: dict, ctx: ProofContext):
     """The parity edges a (verified) claim contributes as a fact."""
     kind = claim["kind"]
     if kind == "forced":
-        return [(sigma_term(claim["k"]), sigma_term(0), _claim_bit(claim))]
+        return [(sigma_term(_int(claim["k"], "claim k")), sigma_term(0),
+                 _claim_bit(claim))]
     if kind == "absolute":
-        return [(sigma_term(claim["k"]), ZERO, _claim_bit(claim))]
+        return [(sigma_term(_int(claim["k"], "claim k")), ZERO, _claim_bit(claim))]
     if kind == "distinct":
         return [(_term_from_json(claim["a"]), _term_from_json(claim["b"]), 1)]
     if kind == "equal":
         return [(_term_from_json(claim["a"]), _term_from_json(claim["b"]), 0)]
     if kind == "tame":
-        blocks = tuple(claim["blocks"])
+        blocks = _ints(claim["blocks"], "block height")
         side = 1 if area(blocks, ctx.p) > ctx.theta else 0
         return [(rect_term(blocks), sigma_term(0), side)]
     raise CertificateError(f"unknown claim kind {kind!r}")
@@ -712,14 +728,15 @@ def _constraint_survivors(con: QConstraint, dsu: ParityDSU, extra_terms=()):
     return free, survivors
 
 
-def _claim_holds(claim: dict, ctx: ProofContext, dsu: ParityDSU, val: dict) -> bool:
+def _claim_holds(edges, dsu: ParityDSU, val: dict) -> bool:
+    """Whether the claim's parity edges all hold under the assignment."""
     def value(term):
         root, par = dsu.find(term)
         if root not in val:
             return None
         return val[root] ^ par
 
-    for x, y, parity in _claim_edges(claim, ctx):
+    for x, y, parity in edges:
         vx, vy = value(x), value(y)
         if x == ZERO:
             vx = 0
@@ -744,10 +761,11 @@ def _deduce_claim(claim: dict, ctx: ProofContext, constraints, fact_edges) -> Op
     for x, y, parity in fact_edges:
         if dsu.union(x, y, parity) == "conflict":
             return "referenced facts are contradictory"
-    claim_terms = [e[i] for e in _claim_edges(claim, ctx) for i in (0, 1)]
+    edges = _claim_edges(claim, ctx)
+    claim_terms = [e[i] for e in edges for i in (0, 1)]
     if not constraints:
         # pure closure: the claim must already follow from the facts
-        for x, y, parity in _claim_edges(claim, ctx):
+        for x, y, parity in edges:
             rel = dsu.relation(x, y)
             if rel is None:
                 return "claim does not follow from the referenced facts"
@@ -761,7 +779,7 @@ def _deduce_claim(claim: dict, ctx: ProofContext, constraints, fact_edges) -> Op
     if not survivors:
         return "no consistent assignment survives (inconsistent node)"
     for val in survivors:
-        if not _claim_holds(claim, ctx, dsu, val):
+        if not _claim_holds(edges, dsu, val):
             return "claim is not forced by the constraint"
     return None
 
@@ -787,165 +805,14 @@ def _twin_available(ks, ctx: ProofContext) -> bool:
     return is_plausible_1d([ctx.n - k for k in ks], ctx)
 
 
-class _ChainBuilder:
-    """Emits nodes, each checked at emission, and keeps the parity facts
-    their claims establish as a forest: every linked term points at its
-    parent through the node whose claim relates the two.  A relation between
-    two linked terms is then proved by the nodes on their tree path."""
-
-    def __init__(self, ctx: ProofContext, q_weights: frozenset):
-        self.ctx = ctx
-        self.q_weights = q_weights
-        self.nodes: List[Node] = []
-        self.by_id: Dict[int, Node] = {}
-        # term -> None for a root, else (parent, parity to it, node id)
-        self.up: Dict[tuple, Optional[Tuple[tuple, int, int]]] = {}
-
-    def _link(self, x, y, parity: int, nid: int):
-        # A builder claim either names a new term or relates two terms the
-        # facts already relate, so the facts form trees and a claim between
-        # two linked terms adds nothing.
-        if x not in self.up and y not in self.up:
-            if y == ZERO:
-                x, y = y, x
-            self.up[x] = None  # the constant, when present, is the root
-            self.up[y] = (x, parity, nid)
-        elif y not in self.up:
-            self.up[y] = (x, parity, nid)
-        elif x not in self.up:
-            self.up[x] = (y, parity, nid)
-
-    def _to_root(self, t) -> Tuple[tuple, int, List[int]]:
-        """t's root, t's parity to it, and the ids of the nodes between."""
-        parity, ids = 0, []
-        while self.up[t] is not None:
-            t, par, nid = self.up[t]
-            parity ^= par
-            ids.append(nid)
-        return t, parity, ids
-
-    def explain(self, x, y) -> Optional[Tuple[int, List[int]]]:
-        """The fact path x..y: (parity, node ids along the way)."""
-        if x == y:
-            return 0, []
-        if x not in self.up or y not in self.up:
-            return None
-        rx, px, ids_x = self._to_root(x)
-        ry, py, ids_y = self._to_root(y)
-        if rx != ry:
-            return None
-        # the links above the meeting point appear on both sides
-        return px ^ py, sorted(set(ids_x) ^ set(ids_y))
-
-    def refs_for(self, pairs) -> List[int]:
-        ids = set()
-        for x, y in pairs:
-            got = self.explain(x, y)
-            if got is None:
-                raise GenerationError(f"no established fact links {x} and {y}")
-            ids.update(got[1])
-        return sorted(ids)
-
-    def emit(self, claim: dict, justify: dict, refs) -> int:
-        node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
-        reason = _check_node(node, self.ctx, self.q_weights, self.by_id,
-                             self.ctx.has_neq)
-        if reason is not None:
-            raise GenerationError(f"generated node failed its own check: {reason} "
-                                  f"({claim} / {justify})")
-        self.nodes.append(node)
-        self.by_id[node.id] = node
-        for x, y, parity in _claim_edges(claim, self.ctx):
-            self._link(x, y, parity, node.id)
-        return node.id
-
-
-def _chain_case_2(cb: _ChainBuilder):
-    ctx = cb.ctx
-    abs_ids = {}
-    for k in range(0, ctx.a + 1):
-        ks = [k] * ctx.s
-        nid = cb.emit(claim_absolute(k, 0),
-                      {"tag": "plausible1d", "tuples": [ks],
-                       "twin": _twin_available(ks, ctx)}, [])
-        abs_ids[k] = nid
-    for k in range(0, ctx.a + 1):
-        cb.emit(claim_absolute(ctx.n - k, 1), {"tag": "negation", "k": k},
-                [abs_ids[k]])
-
-
-def _chain_case_1(cb: _ChainBuilder):
-    ctx = cb.ctx
-    r, s, n = ctx.r, ctx.s, ctx.n
-    neg_ids = {}
-    for k in range(ctx.a, -1, -1):
-        ks = [k] * r + [n - k - 1] * r + [r] + [0] * (s - 2 * r - 1)
-        refs = []
-        if n - k - 1 != k:
-            refs = [neg_ids[k + 1]]
-        nid = cb.emit(claim_absolute(k, 0),
-                      {"tag": "plausible1d", "tuples": [ks], "twin": False}, refs)
-        neg_ids[k] = cb.emit(claim_absolute(n - k, 1), {"tag": "negation", "k": k},
-                             [nid])
-
-
-def _chain_case_4(cb: _ChainBuilder):
-    """Shared by the not-all-equal cases and the exact r = s/2 case, which
-    runs the same tuple lists with the complement rule folded in."""
-    ctx = cb.ctx
-    r, s, a = ctx.r, ctx.s, ctx.a
-    u = sigma_term
-
-    def emit_distinct(x, y, ks, known_pairs):
-        refs = cb.refs_for([pq for pq in known_pairs if pq[0] != pq[1]])
-        return cb.emit(claim_distinct(u(x), u(y)),
-                       {"tag": "plausible1d", "tuples": [list(ks)],
-                        "twin": _twin_available(ks, ctx)}, refs)
-
-    emit_distinct(a, a + 1, [a] * (s - r) + [a + 1] * r, [])
-    if ctx.case == "4b":
-        emit_distinct(a, a + r, [a] * (s - 1) + [a + r], [])
-        emit_distinct(a - 1, a + 1,
-                      [a - 1] * ((s - 1) // 2) + [a + 1] * ((s - 1) // 2) + [a + r],
-                      [(u(a + 1), u(a + r))])
-    else:
-        emit_distinct(a + 1, a - 1,
-                      [a - 1] * ((s - r) // 2) + [a + 1] * ((s + r) // 2), [])
-    for i in range(2, a + 1):
-        if ctx.case == "4b":
-            first = [a + i] * (r // 2) + [a] * (s - r) + [a - i + 2] * (r // 2)
-            second = [a - i] * ((s - 1) // 2) + [a + i] * ((s - 1) // 2) + [a + r]
-            above = a + r
-        else:
-            if ((s + r) // 2) % 2 == 0:
-                first = ([a + i] * ((s + r) // 4) + [a - 1] * ((s - r) // 2)
-                         + [a - i + 2] * ((s + r) // 4))
-            else:
-                first = ([a + i] * ((s + r + 2) // 4) + [a - 1] * ((s - r - 2) // 2)
-                         + [a - i + 1] * 2 + [a - i + 2] * ((s + r - 6) // 4))
-            second = [a - i] * ((s - r) // 2) + [a + i] * ((s - r) // 2) + [a + 1] * r
-            above = a + 1
-        low_needed = sorted((set(first) | {a - i + 1}) - {a + i, a})
-        emit_distinct(a - i + 1, a + i, first, [(u(x), u(a)) for x in low_needed])
-        emit_distinct(a + i, a - i, second,
-                      [(u(a + i), u(a)), (u(above), u(a))])
-
-
-def _build_chain(cb: _ChainBuilder):
-    if cb.ctx.case == "2":
-        _chain_case_2(cb)
-    elif cb.ctx.case == "1":
-        _chain_case_1(cb)
-    else:
-        _chain_case_4(cb)
-
-
 def gen_stepone_chain(ctx: ProofContext) -> List[Node]:
     """The 1-D tameness chain: case-specific plausible tuples plus negation
-    steps, every node locally checked at emission."""
-    cb = _ChainBuilder(ctx, ctx.q_weights)
-    _build_chain(cb)
-    return cb.nodes
+    steps, every node locally checked at emission.
+
+    These are the plausible1d and negation nodes that `propagate` reads.
+    Their refs may name the closure lemmas emitted between them, which the
+    chain leaves out: `propagate` reads only the justifications."""
+    return _CertBuilder(ctx).stepone_chain()
 
 
 @dataclass
@@ -1044,13 +911,6 @@ def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
 # per-node verification
 # ---------------------------------------------------------------------------
 
-def _fact_edges_from_refs(node: Node, ctx: ProofContext, nodes_by_id) -> list:
-    edges = []
-    for rid in node.refs:
-        edges.extend(_claim_edges(nodes_by_id[rid].claim, ctx))
-    return edges
-
-
 def _padded_2d_constraint(z_blocks, members, pad: int, q_weights, twin: bool,
                           z_mult: int) -> QConstraint:
     mult: Dict[tuple, int] = {rect_term(z_blocks): z_mult}
@@ -1064,22 +924,23 @@ def _padded_2d_constraint(z_blocks, members, pad: int, q_weights, twin: bool,
     return QConstraint(tuple(terms), q_weights, twin)
 
 
-def _check_completion_payload(node: Node, ctx: ProofContext, want_m: int):
-    """Shared structural checks for halving/completion nodes; returns
-    (z blocks, l rectangle) or a reason string."""
+def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozenset,
+                              facts: list, template_has_neq: bool) -> Optional[str]:
+    """The halving and completion rules: z's rotations, the column
+    completion l and, for halving, l's two halves in place of l form one
+    plausible family (and, with a twin, so do their complements)."""
     j = node.justify
-    try:
-        z = tuple(int(v) for v in j["blocks"])
-        l = tuple(int(v) for v in j["l"])
-        m = int(j["m"])
-        pad = int(j["pad"])
-        twin = j["twin"]
-    except (KeyError, TypeError, ValueError):
-        return "malformed payload"
+    halving = j["tag"] == "halving"
+    z = _ints(j["blocks"], "block height")
+    l = _ints(j["l"], "block height")
+    m = _int(j["m"], "row count")
+    pad = _int(j["pad"], "zero padding")
+    twin = j["twin"]
     if type(twin) is not bool:
         return "twin flag is not true or false"
     if node.claim.get("kind") != "tame" or tuple(node.claim["blocks"]) != z:
         return "claim does not name the constructed rectangle"
+    want_m = ctx.m_half if halving else ctx.m_flip
     if m != want_m:
         return f"m={m} is not the admissible row count {want_m}"
     if pad != ctx.zero_pad:
@@ -1092,28 +953,48 @@ def _check_completion_payload(node: Node, ctx: ProofContext, want_m: int):
         return f"completion rejected: {e}"
     if l_ar.blocks != l:
         return "stated completion disagrees with the construction"
-    return z, l_ar, rows, twin, pad
+    members = [l]
+    if halving:
+        members = [_ints(j["l1"], "block height"), _ints(j["l2"], "block height")]
+        try:
+            h1, h2 = halve(l)
+        except CertificateError as e:
+            return f"halving rejected: {e}"
+        if [h1.blocks, h2.blocks] != members:
+            return "stated halves disagree with the construction"
+    family = [z] + [r.blocks for r in rows[1:]] + members
+    if not is_plausible_2d(family + [(0,) * ctx.p] * pad, ctx):
+        return "assembled family is not plausible"
+    if twin:
+        if not template_has_neq:
+            return "complement rule needs a disequality pair"
+        comp = [complement_blocks(bl) for bl in family]
+        if not is_plausible_2d(comp + [(0,) * ctx.p] * pad, ctx):
+            return "complemented family is not plausible"
+    con = _padded_2d_constraint(z, members, pad, q_weights, twin, len(rows))
+    return _deduce_claim(node.claim, ctx, [con], facts)
 
 
 def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
-                nodes_by_id, template_has_neq: bool) -> Optional[str]:
-    """Re-derive one node's claim; None when sound, else the reason."""
+                facts_by_id, template_has_neq: bool) -> Optional[str]:
+    """Re-derive one node's claim; None when sound, else the reason.
+
+    `facts_by_id` maps each earlier sound node's id to its claim's parity
+    edges.  A missing or loosely typed field raises instead; the verifier
+    reports it as a malformed node."""
     for rid in node.refs:
         if type(rid) is not int:
             return f"reference {rid!r} is not an integer"
-        if rid not in nodes_by_id or rid >= node.id:
+        if rid not in facts_by_id or rid >= node.id:
             return f"reference {rid} is not an earlier node"
-    try:
-        facts = _fact_edges_from_refs(node, ctx, nodes_by_id)
-    except CertificateError as e:
-        return str(e)
+    facts = [edge for rid in node.refs for edge in facts_by_id[rid]]
     tag = node.justify.get("tag")
 
     if tag == "plausible1d":
         tuples = node.justify.get("tuples")
         if not isinstance(tuples, list) or len(tuples) != 1:
             return "plausible tuple nodes carry exactly one tuple"
-        ks = [int(k) for k in tuples[0]]
+        ks = list(_ints(tuples[0], "tuple entry"))
         if not is_plausible_1d(ks, ctx):
             return f"tuple {ks} is not plausible"
         twin = node.justify.get("twin")
@@ -1131,12 +1012,12 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         if not template_has_neq:
             return "negation step needs a disequality pair"
         if "k" in node.justify:
-            k = int(node.justify["k"])
+            k = _int(node.justify["k"], "negation index")
             if not (0 <= k <= ctx.n):
                 return "negation index out of range"
             edge = (sigma_term(k), sigma_term(ctx.n - k), 1)
         else:
-            blocks = tuple(int(v) for v in node.justify["blocks"])
+            blocks = _ints(node.justify["blocks"], "block height")
             if as_almost_rectangle(blocks) is None:
                 return "negation of a non-rectangle"
             edge = (rect_term(blocks), rect_term(complement_blocks(blocks)), 1)
@@ -1148,12 +1029,9 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _deduce_claim(node.claim, ctx, [], facts)
 
     if tag == "double_cyclicity":
-        try:
-            blocks = tuple(int(v) for v in node.justify["blocks"])
-            k = int(node.justify["k"])
-            shift = int(node.justify["shift"])
-        except (KeyError, TypeError, ValueError):
-            return "malformed payload"
+        blocks = _ints(node.justify["blocks"], "block height")
+        k = _int(node.justify["k"], "flat index")
+        shift = _int(node.justify["shift"], "shift")
         ar = as_almost_rectangle(blocks)
         if ar is None or ar.step > 1:
             return "row-wise reading needs step size at most one"
@@ -1166,59 +1044,14 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         edge = (rect_term(blocks), sigma_term(k), 0)
         return _deduce_claim(node.claim, ctx, [], facts + [edge])
 
-    if tag == "halving":
-        got = _check_completion_payload(node, ctx, ctx.m_half)
-        if isinstance(got, str):
-            return got
-        z, l_ar, rows, twin, pad = got
-        try:
-            l1 = tuple(int(v) for v in node.justify["l1"])
-            l2 = tuple(int(v) for v in node.justify["l2"])
-        except (KeyError, TypeError, ValueError):
-            return "malformed payload"
-        try:
-            h1, h2 = halve(l_ar.blocks)
-        except CertificateError as e:
-            return f"halving rejected: {e}"
-        if (h1.blocks, h2.blocks) != (l1, l2):
-            return "stated halves disagree with the construction"
-        family = [z] + [r.blocks for r in rows[1:]] + [l1, l2]
-        if not is_plausible_2d(family + [(0,) * ctx.p] * pad, ctx):
-            return "assembled family is not plausible"
-        if twin:
-            if not template_has_neq:
-                return "complement rule needs a disequality pair"
-            comp = [complement_blocks(bl) for bl in family]
-            if not is_plausible_2d(comp + [(0,) * ctx.p] * pad, ctx):
-                return "complemented family is not plausible"
-        con = _padded_2d_constraint(z, [l1, l2], pad, q_weights, twin, len(rows))
-        return _deduce_claim(node.claim, ctx, [con], facts)
-
-    if tag == "completion":
-        got = _check_completion_payload(node, ctx, ctx.m_flip)
-        if isinstance(got, str):
-            return got
-        z, l_ar, rows, twin, pad = got
-        family = [z] + [r.blocks for r in rows[1:]] + [l_ar.blocks]
-        if not is_plausible_2d(family + [(0,) * ctx.p] * pad, ctx):
-            return "assembled family is not plausible"
-        if twin:
-            if not template_has_neq:
-                return "complement rule needs a disequality pair"
-            comp = [complement_blocks(bl) for bl in family]
-            if not is_plausible_2d(comp + [(0,) * ctx.p] * pad, ctx):
-                return "complemented family is not plausible"
-        con = _padded_2d_constraint(z, [l_ar.blocks], pad, q_weights, twin, len(rows))
-        return _deduce_claim(node.claim, ctx, [con], facts)
+    if tag in ("halving", "completion"):
+        return _check_completion_payload(node, ctx, q_weights, facts, template_has_neq)
 
     if tag == "boundedness":
-        try:
-            z21 = int(node.justify["z21"])
-            z22 = int(node.justify["z22"])
-            z1h = int(node.justify["z1"])
-            m = int(node.justify["m"])
-        except (KeyError, TypeError, ValueError):
-            return "malformed payload"
+        z21 = _int(node.justify["z21"], "pattern height")
+        z22 = _int(node.justify["z22"], "pattern height")
+        z1h = _int(node.justify["z1"], "first height")
+        m = _int(node.justify["m"], "row split")
         p, b, theta = ctx.p, ctx.b, ctx.theta
         if m != (p - 1) // 2:
             return "wrong row split for the pigeonhole step"
@@ -1254,31 +1087,54 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
 # certificate generation
 # ---------------------------------------------------------------------------
 
-def _pigeonhole_interval(ctx: ProofContext) -> List[int]:
+def _pigeonhole_interval(ctx: ProofContext) -> range:
+    """The pattern heights: integers k >= 0 with theta*p - 2b < k < theta*p.
+
+    The lower end is truncated toward zero, so for -1 < theta*p - 2b < 0
+    the height 0 is left out.
+    """
     lo, hi = ctx.theta * ctx.p - 2 * ctx.b, ctx.theta * ctx.p
-    out = []
-    k = int(lo) + 1
-    while k < hi:
-        if k > lo and 0 <= k:
-            out.append(k)
-        k += 1
-    return out
+    return range(max(int(lo) + 1, 0), math.ceil(hi))
 
 
-class _CertBuilder(_ChainBuilder):
-    """The chain builder plus closure lemmas: a term whose tree path to its
-    root spans several facts gets one closure node stating its relation to
-    the root, and links straight to the root through it.  Every relation the
+class _CertBuilder:
+    """Emits nodes, each checked at emission, and keeps the parity facts
+    their claims establish as a forest: every linked term points at its
+    parent through the node whose claim relates the two.
+
+    Closure lemmas keep the forest flat: a term whose tree path to its root
+    spans several facts gets one closure node stating its relation to the
+    root, and links straight to the root through it.  Every relation the
     generator asks for then costs at most two references, however long the
     chain behind it."""
 
     def __init__(self, ctx: ProofContext):
-        super().__init__(ctx, ctx.q_weights)
+        self.ctx = ctx
+        self.nodes: List[Node] = []
+        self.facts: Dict[int, list] = {}  # node id -> its claim's edges
+        # term -> None for a root, else (parent, parity to it, node id)
+        self.up: Dict[tuple, Optional[Tuple[tuple, int, int]]] = {}
         self.forced_ids: Dict[int, int] = {}
         self.abs_zero_id: Optional[int] = None
         self.tame_ids: Dict[tuple, int] = {}
 
+    def _link(self, x, y, parity: int, nid: int):
+        # A builder claim either names a new term or relates two terms the
+        # facts already relate, so the facts form trees and a claim between
+        # two linked terms adds nothing.
+        if x not in self.up and y not in self.up:
+            if y == ZERO:
+                x, y = y, x
+            self.up[x] = None  # the constant, when present, is the root
+            self.up[y] = (x, parity, nid)
+        elif y not in self.up:
+            self.up[y] = (x, parity, nid)
+        elif x not in self.up:
+            self.up[x] = (y, parity, nid)
+
     def _to_root(self, t) -> Tuple[tuple, int, List[int]]:
+        """t's root, t's parity to it, and the one node between (none when
+        t is the root), emitting the lemmas that link t straight to it."""
         path = []
         while self.up[t] is not None:
             path.append(t)
@@ -1299,11 +1155,123 @@ class _CertBuilder(_ChainBuilder):
         _, parity, nid = self.up[path[0]]
         return root, parity, [nid]
 
+    def explain(self, x, y) -> Optional[Tuple[int, List[int]]]:
+        """The fact path x..y: (parity, node ids along the way)."""
+        if x == y:
+            return 0, []
+        if x not in self.up or y not in self.up:
+            return None
+        rx, px, ids_x = self._to_root(x)
+        ry, py, ids_y = self._to_root(y)
+        if rx != ry:
+            return None
+        # the links above the meeting point appear on both sides
+        return px ^ py, sorted(set(ids_x) ^ set(ids_y))
+
+    def refs_for(self, pairs) -> List[int]:
+        ids = set()
+        for x, y in pairs:
+            got = self.explain(x, y)
+            if got is None:
+                raise GenerationError(f"no established fact links {x} and {y}")
+            ids.update(got[1])
+        return sorted(ids)
+
+    def emit(self, claim: dict, justify: dict, refs) -> int:
+        node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
+        reason = _check_node(node, self.ctx, self.ctx.q_weights, self.facts,
+                             self.ctx.has_neq)
+        if reason is not None:
+            raise GenerationError(f"generated node failed its own check: {reason} "
+                                  f"({claim} / {justify})")
+        self.nodes.append(node)
+        self.facts[node.id] = _claim_edges(claim, self.ctx)
+        for x, y, parity in self.facts[node.id]:
+            self._link(x, y, parity, node.id)
+        return node.id
+
+    # -- the 1-D chain --
+
+    def stepone_chain(self) -> List[Node]:
+        """Emit the case's chain; return its nodes without the lemmas."""
+        if self.ctx.case == "2":
+            self._chain_case_2()
+        elif self.ctx.case == "1":
+            self._chain_case_1()
+        else:
+            self._chain_case_4()
+        return [n for n in self.nodes if n.justify["tag"] != "closure"]
+
+    def _chain_case_2(self):
+        ctx = self.ctx
+        abs_ids = {}
+        for k in range(0, ctx.a + 1):
+            ks = [k] * ctx.s
+            abs_ids[k] = self.emit(claim_absolute(k, 0),
+                                   {"tag": "plausible1d", "tuples": [ks],
+                                    "twin": _twin_available(ks, ctx)}, [])
+        for k in range(0, ctx.a + 1):
+            self.emit(claim_absolute(ctx.n - k, 1), {"tag": "negation", "k": k},
+                      [abs_ids[k]])
+
+    def _chain_case_1(self):
+        ctx = self.ctx
+        r, s, n = ctx.r, ctx.s, ctx.n
+        neg_ids = {}
+        for k in range(ctx.a, -1, -1):
+            ks = [k] * r + [n - k - 1] * r + [r] + [0] * (s - 2 * r - 1)
+            refs = []
+            if n - k - 1 != k:
+                refs = [neg_ids[k + 1]]
+            nid = self.emit(claim_absolute(k, 0),
+                            {"tag": "plausible1d", "tuples": [ks], "twin": False}, refs)
+            neg_ids[k] = self.emit(claim_absolute(n - k, 1),
+                                   {"tag": "negation", "k": k}, [nid])
+
+    def _chain_case_4(self):
+        """Shared by the not-all-equal cases and the exact r = s/2 case, which
+        runs the same tuple lists with the complement rule folded in."""
+        ctx = self.ctx
+        r, s, a = ctx.r, ctx.s, ctx.a
+        u = sigma_term
+
+        def emit_distinct(x, y, ks, known_pairs):
+            refs = self.refs_for([pq for pq in known_pairs if pq[0] != pq[1]])
+            return self.emit(claim_distinct(u(x), u(y)),
+                             {"tag": "plausible1d", "tuples": [list(ks)],
+                              "twin": _twin_available(ks, ctx)}, refs)
+
+        emit_distinct(a, a + 1, [a] * (s - r) + [a + 1] * r, [])
+        if ctx.case == "4b":
+            emit_distinct(a, a + r, [a] * (s - 1) + [a + r], [])
+            emit_distinct(a - 1, a + 1,
+                          [a - 1] * ((s - 1) // 2) + [a + 1] * ((s - 1) // 2) + [a + r],
+                          [(u(a + 1), u(a + r))])
+        else:
+            emit_distinct(a + 1, a - 1,
+                          [a - 1] * ((s - r) // 2) + [a + 1] * ((s + r) // 2), [])
+        for i in range(2, a + 1):
+            if ctx.case == "4b":
+                first = [a + i] * (r // 2) + [a] * (s - r) + [a - i + 2] * (r // 2)
+                second = [a - i] * ((s - 1) // 2) + [a + i] * ((s - 1) // 2) + [a + r]
+                above = a + r
+            else:
+                if ((s + r) // 2) % 2 == 0:
+                    first = ([a + i] * ((s + r) // 4) + [a - 1] * ((s - r) // 2)
+                             + [a - i + 2] * ((s + r) // 4))
+                else:
+                    first = ([a + i] * ((s + r + 2) // 4) + [a - 1] * ((s - r - 2) // 2)
+                             + [a - i + 1] * 2 + [a - i + 2] * ((s + r - 6) // 4))
+                second = [a - i] * ((s - r) // 2) + [a + i] * ((s - r) // 2) + [a + 1] * r
+                above = a + 1
+            low_needed = sorted((set(first) | {a - i + 1}) - {a + i, a})
+            emit_distinct(a - i + 1, a + i, first, [(u(x), u(a)) for x in low_needed])
+            emit_distinct(a + i, a - i, second,
+                          [(u(a + i), u(a)), (u(above), u(a))])
+
     def build_chain(self):
-        _build_chain(self)
-        q_rel = BoolRelation(self.ctx.s, self.ctx.q_weights)
-        res = propagate([n for n in self.nodes if n.justify["tag"] != "closure"],
-                        q_rel, self.ctx)
+        chain = self.stepone_chain()
+        res = propagate(chain, BoolRelation(self.ctx.s, self.ctx.q_weights), self.ctx)
         if not res.matches_tame_pattern(self.ctx):
             raise GenerationError(f"chain propagation failed: {res.status} "
                                   f"missing={res.missing}")
@@ -1517,17 +1485,18 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
         return VerificationResult(False, None, "template does not match the context")
     q_weights, has_neq = matched
 
-    nodes_by_id: Dict[int, Node] = {}
+    facts_by_id: Dict[int, list] = {}
     for idx, node in enumerate(cert.nodes):
-        if node.id != idx:
-            return VerificationResult(False, node.id, "node ids must be sequential")
         try:
-            reason = _check_node(node, ctx, q_weights, nodes_by_id, has_neq)
+            if _int(node.id, "node id") != idx:
+                return VerificationResult(False, idx, "node ids must be sequential")
+            reason = _check_node(node, ctx, q_weights, facts_by_id, has_neq)
         except Exception as e:  # malformed payloads must reject, not crash
             reason = f"malformed node: {e}"
         if reason is not None:
-            return VerificationResult(False, node.id, reason)
-        nodes_by_id[node.id] = node
+            return VerificationResult(False, idx, reason)
+        # the check has read this claim strictly already
+        facts_by_id[idx] = _claim_edges(node.claim, ctx)
 
     if cert.conclusion == "tame_base":
         if ctx.b != 0:
@@ -1535,10 +1504,10 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
                                       "base-only conclusion requires b = 0")
         dsu = ParityDSU()
         dsu.find(ZERO)
-        for node in cert.nodes:
-            for x, y, parity in _claim_edges(node.claim, ctx):
+        for idx, edges in facts_by_id.items():
+            for x, y, parity in edges:
                 if dsu.union(x, y, parity) == "conflict":
-                    return VerificationResult(False, node.id,
+                    return VerificationResult(False, idx,
                                               "claims are mutually inconsistent")
         for k in range(0, 2 * ctx.a + 1):
             want = 0 if k <= ctx.a else 1

@@ -85,9 +85,6 @@ class BoolRelation:
     def is_full(self) -> bool:
         return len(self.weights) == self.arity + 1
 
-    def is_empty(self) -> bool:
-        return not self.weights and not self.explicit_tuples
-
     def swap01(self) -> "BoolRelation":
         """The relation with 0 and 1 exchanged (weight w becomes arity-w)."""
         weights = frozenset(self.arity - w for w in self.weights)

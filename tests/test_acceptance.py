@@ -194,6 +194,13 @@ def test_criterion_5_chains():
     assert res.status == "ok"
     assert all(res.forced[k] == 0 for k in range(0, 13))
     assert all(res.forced[k] == 1 for k in range(13, 25))
+
+    # closure lemmas keep a long chain's hints constant in size
+    ctx4b = ProofContext(4, 9, "4b", 37, 0)
+    chain = gen_stepone_chain(ctx4b)
+    assert max(len(node.refs) for node in chain) <= 4
+    res = propagate(chain, B("nae", 9), ctx4b)
+    assert res.matches_tame_pattern(ctx4b)
     report("criterion 5 (step-one chains)", t0, 5.0)
 
 

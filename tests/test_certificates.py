@@ -482,8 +482,9 @@ def test_generation_honest_under_paper_preset():
 
 def _loose_mutations(obj):
     """(node id, mutated certificate) pairs whose loose field values used to
-    be coerced into a valid proof: claim bits read as bit & 1, refs read by
-    int(), and twin flags read by bool()."""
+    be coerced into a valid proof: claim bits read as bit & 1, refs, node
+    ids, tuple entries and claim indices read by int(), and twin flags read
+    by bool()."""
     nodes = obj["nodes"]
 
     def at(i, edit):
@@ -503,6 +504,14 @@ def _loose_mutations(obj):
     for value in (1.5, True):
         yield at(with_ref1, lambda nd, v=value: nd.__setitem__(
             "refs", [v if r == 1 else r for r in nd["refs"]]))
+    for value in (1.0, True, "1"):
+        yield at(1, lambda nd, v=value: nd.__setitem__("id", v))
+    tup = next(i for i, nd in enumerate(nodes) if nd["justify"]["tag"] == "plausible1d")
+    yield at(tup, lambda nd: nd["justify"].__setitem__(
+        "tuples", [[k + 0.5 for k in nd["justify"]["tuples"][0]]]))
+    k0 = next(i for i, nd in enumerate(nodes)
+              if nd["claim"]["kind"] == "forced" and nd["claim"]["k"] == 0)
+    yield at(k0, set_in("claim", "k", 0.0))
     for tag in ("plausible1d", "halving", "completion"):
         i = next((i for i, nd in enumerate(nodes)
                   if nd["justify"]["tag"] == tag and nd["justify"]["twin"] is False), None)
@@ -527,7 +536,57 @@ def test_loose_field_values_are_invalid():
             assert not result.ok and result.failed_node == i, (i, mutated["nodes"][i])
             count += 1
     assert {"plausible1d", "halving", "completion"} <= tags
-    assert count == 2 * 6 + 4 * 5
+    assert count == 2 * 11 + 4 * 5
+
+
+def _int_leaves(value, path=()):
+    """Paths to the integers inside a JSON value (first list entry only)."""
+    if type(value) is int:
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _int_leaves(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from _int_leaves(value[0], path + (0,))
+
+
+@pytest.mark.parametrize("ctx,tags", [
+    (ProofContext(1, 3, "4a", 13, 1), {"plausible1d", "closure", "double_cyclicity",
+                                       "halving", "completion", "boundedness"}),
+    (ProofContext(2, 5, "1", 11, 0), {"plausible1d", "negation", "closure"}),
+])
+def test_every_integer_field_is_read_strictly(ctx, tags):
+    """Writing any integer of a node as a float (or a 0/1 as a bool) makes
+    the verifier reject that very node."""
+    obj = json.loads(certificate_to_json(gen_certificate(ctx)))
+    t = ctx.canonical_template()
+    seen = set()
+    for i, nd in enumerate(obj["nodes"]):
+        for path in _int_leaves(nd):
+            if (nd["justify"]["tag"], path) in seen:
+                continue
+            seen.add((nd["justify"]["tag"], path))
+            mutated = json.loads(json.dumps(obj))
+            holder = mutated["nodes"][i]
+            for key in path[:-1]:
+                holder = holder[key]
+            value = holder[path[-1]]
+            for loose in [float(value)] + ([bool(value)] if value in (0, 1) else []):
+                holder[path[-1]] = loose
+                result = verify_certificate(certificate_from_json(json.dumps(mutated)), t)
+                assert not result.ok and result.failed_node == i, (i, path, loose)
+    assert {tag for tag, _ in seen} == tags
+
+
+def test_huge_b_is_refused_at_once():
+    """The pigeonhole interval is computed, not listed: b = 10^9 at p = 7
+    fails generation without walking about 2*10^9 integers."""
+    import time
+
+    start = time.process_time()
+    with pytest.raises(GenerationError, match="p too small for b"):
+        gen_certificate(ProofContext(1, 3, "4a", 7, 10 ** 9))
+    assert time.process_time() - start < 0.5
 
 
 def test_context_refuses_p_beyond_exact_primality():

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from pcsp.cli import run
 from pcsp.polymorphisms import format_function, parity_function
 from pcsp.structures import Instance, format_instance, format_template
@@ -181,10 +183,10 @@ def test_consecutive_runs_answer_as_fresh_processes(tmp_path):
     assert [invoke(argv) for argv in calls] == fresh
 
 
-def _context_only_certificate(p: int) -> str:
-    return json.dumps({"context": {"r": 1, "s": 3, "case": "4a", "p": p, "b": 0,
+def _context_only_certificate(p, b=0, conclusion="tame_base") -> str:
+    return json.dumps({"context": {"r": 1, "s": 3, "case": "4a", "p": p, "b": b,
                                    "theta": "1/3", "exponent_preset": "desk"},
-                       "nodes": [], "conclusion": "tame_base"})
+                       "nodes": [], "conclusion": conclusion})
 
 
 def test_verify_large_prime_context_is_prompt(tmp_path):
@@ -216,3 +218,39 @@ def test_p_beyond_exact_primality_is_refused(tmp_path, capsys):
         assert invoke(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "primality" in err
+
+
+def test_loose_context_fields_are_refused(tmp_path, capsys):
+    """A context's integers are read strictly: p = 7.9 is not truncated to
+    7, and b = false is not read as 0.  Both are malformed input (exit 2)."""
+    from pcsp.certificates import CertificateError, certificate_from_json
+
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_context_only_certificate(7), encoding="utf-8")
+    assert invoke(["verify", str(cpath), "-t", tpath])[0] == 1
+    for p, b in ((7.9, 0), (7, False)):
+        text = _context_only_certificate(p, b)
+        with pytest.raises(CertificateError, match="is not an integer"):
+            certificate_from_json(text)
+        cpath.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert invoke(["verify", str(cpath), "-t", tpath]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_huge_b_is_prompt(tmp_path):
+    """The pigeonhole interval is a range, not a list of about 2b integers,
+    so a contradiction with b = 10^9 and no nodes is rejected at once."""
+    import time
+
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_context_only_certificate(7, 10 ** 9, "contradiction"),
+                     encoding="utf-8")
+    start = time.process_time()
+    code, out = invoke(["verify", str(cpath), "-t", tpath])
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (1, "INVALID reason=pigeonhole interval has too few integers\n")
+
