@@ -120,9 +120,10 @@ class StaggerParams:
     def n(self) -> int:
         return self.p * self.p
 
-    @property
-    def plausible_sense(self) -> str:
-        return "le" if self.case == "2" else "eq"
+    def meets_budget(self, total: int, want: int) -> bool:
+        """The plausibility test of one sum: at most want in case 2, exactly
+        want in the other cases."""
+        return total <= want if self.case == "2" else total == want
 
 
 @dataclass(frozen=True)
@@ -336,9 +337,7 @@ def is_plausible_1d(ks, ctx: StaggerParams) -> bool:
         raise CertificateError(f"need {ctx.s} entries, got {len(ks)}")
     if any(not (0 <= k <= ctx.n) for k in ks):
         return False
-    total = sum(ks)
-    want = ctx.r * ctx.n
-    return total <= want if ctx.plausible_sense == "le" else total == want
+    return ctx.meets_budget(sum(ks), ctx.r * ctx.n)
 
 
 def is_plausible_2d(tuples, ctx: StaggerParams) -> bool:
@@ -349,15 +348,8 @@ def is_plausible_2d(tuples, ctx: StaggerParams) -> bool:
         raise CertificateError("block vectors have the wrong width")
     if any(not (0 <= v <= ctx.p) for row in rows for v in row):
         return False
-    want = ctx.r * ctx.p
-    for i in range(ctx.p):
-        col = sum(row[i] for row in rows)
-        if ctx.plausible_sense == "le":
-            if col > want:
-                return False
-        elif col != want:
-            return False
-    return True
+    return all(ctx.meets_budget(sum(row[i] for row in rows), ctx.r * ctx.p)
+               for i in range(ctx.p))
 
 
 def _ones_run(length: int, ones: int, offset: int) -> tuple:
@@ -384,13 +376,7 @@ def build_shift_matrix_1d(ks, ctx: StaggerParams):
     for k in ks:
         matrix.append(_ones_run(n, k, offset))
         offset += k
-    ok = True
-    for j in range(n):
-        w = sum(row[j] for row in matrix)
-        if ctx.plausible_sense == "le":
-            ok = ok and w <= ctx.r
-        else:
-            ok = ok and w == ctx.r
+    ok = all(ctx.meets_budget(sum(row[j] for row in matrix), ctx.r) for j in range(n))
     return matrix, ok
 
 
@@ -429,13 +415,7 @@ def build_shift_matrix_2d(tuples, ctx: StaggerParams):
         for j in range(ctx.s):
             glued[j].extend(folded[j])
     matrix = [tuple(row) for row in glued]
-    ok = True
-    for c in range(ctx.n):
-        w = sum(row[c] for row in matrix)
-        if ctx.plausible_sense == "le":
-            ok = ok and w <= r
-        else:
-            ok = ok and w == r
+    ok = all(ctx.meets_budget(sum(row[c] for row in matrix), r) for c in range(ctx.n))
     return matrix, ok
 
 
@@ -1491,6 +1471,8 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
             if _int(node.id, "node id") != idx:
                 return VerificationResult(False, idx, "node ids must be sequential")
             reason = _check_node(node, ctx, q_weights, facts_by_id, has_neq)
+        except KeyError as e:
+            reason = f"malformed node: missing field {e}"
         except Exception as e:  # malformed payloads must reject, not crash
             reason = f"malformed node: {e}"
         if reason is not None:

@@ -334,16 +334,7 @@ def sandwich(t: Template) -> SandwichSpec:
     verdict = classify(t)
     if verdict.complexity is not Complexity.TRACTABLE or verdict.sandwich is None:
         raise UnsupportedTemplateError("no recognized sandwich for this template")
-    spec = verdict.sandwich
-    if spec.solver == "diophantine":
-        # the B-side rounding needs every exact weight strictly between 0 and s
-        for a, b in t.pairs:
-            if _is_neq_pair(a, b):
-                continue
-            (w,) = a.weights
-            if not (1 <= w <= a.arity - 1):
-                raise UnsupportedTemplateError("integer sandwich needs 0 < r < s")
-    return spec
+    return verdict.sandwich
 
 
 # ---------------------------------------------------------------------------

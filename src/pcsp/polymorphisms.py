@@ -304,45 +304,49 @@ def is_polymorphism(f: BoolFunction, t: Template) -> bool:
 
 
 def enumerate_polymorphisms(t: Template, n: int) -> Iterator[BoolFunction]:
-    """Yield every n-ary Boolean polymorphism of t, in increasing table order.
-
-    Backtracks over table entries from the most significant end so that the
-    emission order equals numeric order of the packed table.
-    """
+    """Yield every n-ary Boolean polymorphism of t, in increasing table order."""
     if n > MAX_ARITY:
         raise ResourceGuard(f"arity {n} above cap {MAX_ARITY}")
     size = 2 ** n
+    # one orbit per entry, numbered from the most significant entry down
+    yield from _search(t, n, range(size - 1, -1, -1), size)
+
+
+def _search(t: Template, n: int, orbit_of, m: int) -> Iterator[BoolFunction]:
+    """Yield every n-ary polymorphism of t that takes one value on each of
+    the m orbits of table entries; entry i lies on orbit orbit_of[i].
+
+    Orbits are fixed in increasing number, 0 before 1, and a constraint is
+    tested once the last of its orbits is fixed.  When orbits are numbered
+    in decreasing order of their largest entry, two emitted functions first
+    differ at the highest entry where their tables differ, so emission order
+    is increasing table order.
+    """
     total = sum(pair[0].count_tuples() ** n for pair in t.pairs)
     if total > MAX_POLY_CONSTRAINTS:
         raise ResourceGuard(f"{total} column selections exceed the guard")
-
-    by_min: List[list] = [[] for _ in range(size)]
+    by_last: List[list] = [[] for _ in range(m)]
     for pair in t.pairs:
-        seen = set()
-        for rows, rel_b in _pair_constraints(pair, n):
-            key = rows
-            if key in seen:
-                continue
-            seen.add(key)
-            by_min[min(rows)].append((rows, rel_b))
+        # dict.fromkeys drops repeated constraints and keeps first-seen order
+        for orbits in dict.fromkeys(tuple(orbit_of[r] for r in rows)
+                                    for rows, _ in _pair_constraints(pair, n)):
+            by_last[max(orbits)].append((orbits, pair[1]))
 
-    values = [0] * size  # values[i] = table entry i
-
-    def feasible(rows, rel_b) -> bool:
-        image = tuple(values[r] for r in rows)
-        return rel_b.contains(image)
-
-    def dfs(entry: int) -> Iterator[BoolFunction]:
-        if entry < 0:
-            yield make_function(n, values)
-            return
-        for v in (0, 1):
-            values[entry] = v
-            if all(feasible(rows, rel_b) for rows, rel_b in by_min[entry]):
-                yield from dfs(entry - 1)
-        values[entry] = 0
-
-    yield from dfs(size - 1)
+    # a loop, not recursion: the search is as deep as there are orbits
+    vals = [-1] * m  # vals[k] = the value on orbit k, -1 while untried
+    k = 0
+    while k >= 0:
+        if k == m:
+            yield make_function(n, [vals[o] for o in orbit_of])
+            k -= 1
+        elif vals[k] == 1:
+            vals[k] = -1
+            k -= 1
+        else:
+            vals[k] += 1
+            if all(rel_b.contains(tuple(vals[o] for o in orbits))
+                   for orbits, rel_b in by_last[k]):
+                k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -509,34 +513,37 @@ def is_b_bounded(t: BoolFunction, p: int, sim: BlockEquivalence) -> bool:
 # ---------------------------------------------------------------------------
 
 def _doubly_cyclic_orbits(p: int):
-    """Orbits of {0,1}^(p^2) inputs under in-block rotations and block shift."""
+    """Orbits of {0,1}^(p^2) inputs under in-block rotations and block shift.
+
+    Returns (orbit_of, count).  Orbits are numbered while inputs are scanned
+    from the top down, so in decreasing order of their largest input.
+    """
     n = p * p
     # a generator moves input i to the source index of entry i of its minor
     gens = [_radix_sums(_variable_offsets(m, 2)) for m in
             [_block_rotation_map(p, b) for b in range(p)] + [_block_shift_map(p)]]
 
     orbit_of = [-1] * (2 ** n)
-    orbits = []
-    for start in range(2 ** n):
+    count = 0
+    for start in range(2 ** n - 1, -1, -1):
         if orbit_of[start] >= 0:
             continue
-        oid = len(orbits)
-        stack, members = [start], []
-        orbit_of[start] = oid
+        stack = [start]
+        orbit_of[start] = count
         while stack:
             cur = stack.pop()
-            members.append(cur)
             for g in gens:
                 nxt = g[cur]
                 if orbit_of[nxt] < 0:
-                    orbit_of[nxt] = oid
+                    orbit_of[nxt] = count
                     stack.append(nxt)
-        orbits.append(sorted(members))
-    return orbits, orbit_of
+        count += 1
+    return orbit_of, count
 
 
 def enumerate_doubly_cyclic_polymorphisms(t: Template, p: int) -> List[BoolFunction]:
-    """All doubly cyclic p*p-ary Boolean polymorphisms of t.
+    """All doubly cyclic p*p-ary Boolean polymorphisms of t, in increasing
+    table order.
 
     Works over input orbits of the block-rotation group, so it stays feasible
     at p = 3 where the raw table space (2**512) is far out of reach.
@@ -544,38 +551,8 @@ def enumerate_doubly_cyclic_polymorphisms(t: Template, p: int) -> List[BoolFunct
     n = p * p
     if n > MAX_ARITY:
         raise ResourceGuard(f"arity {n} above cap")
-    orbits, orbit_of = _doubly_cyclic_orbits(p)
-    total = sum(pair[0].count_tuples() ** n for pair in t.pairs)
-    if total > MAX_POLY_CONSTRAINTS:
-        raise ResourceGuard(f"{total} column selections exceed the guard")
-
-    constraints = set()
-    for pair in t.pairs:
-        for rows, rel_b in _pair_constraints(pair, n):
-            constraints.add((tuple(orbit_of[r] for r in rows), rel_b))
-    cons = sorted(constraints, key=lambda c: (c[0], sorted(c[1].weights), c[1].name))
-
-    m = len(orbits)
-    by_max = [[] for _ in range(m)]
-    for orbit_rows, rel_b in cons:
-        by_max[max(orbit_rows)].append((orbit_rows, rel_b))
-
-    vals = [0] * m
-    found = []
-
-    def dfs(k: int):
-        if k == m:
-            found.append(make_function(n, [vals[o] for o in orbit_of]))
-            return
-        for v in (0, 1):
-            vals[k] = v
-            if all(rel_b.contains(tuple(vals[o] for o in rows))
-                   for rows, rel_b in by_max[k]):
-                dfs(k + 1)
-
-    dfs(0)
-    found.sort(key=lambda f: f.table)
-    return found
+    orbit_of, count = _doubly_cyclic_orbits(p)
+    return list(_search(t, n, orbit_of, count))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ the untransformed rows.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,7 +29,7 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .classifier import (Complexity, UnsupportedTemplateError, classify,
-                         sandwich, _point_absorbing)
+                         _point_absorbing)
 from .structures import BoolRelation, Instance, StructureError, Template, check_instance_against
 
 
@@ -723,7 +722,7 @@ def solve_pcsp(t: Template, inst: Instance) -> PromiseAnswer:
         if c is not None:
             return PromiseAnswer(True, {v: c for v in range(inst.var_count)})
         raise UnsupportedTemplateError("tractable template without a recognized recipe")
-    spec = sandwich(t)
+    spec = verdict.sandwich
     if spec.solver == "gf2":
         sol = solve_gf2(_gf2_translate(t, inst))
         if sol is None:
@@ -738,11 +737,9 @@ def solve_pcsp(t: Template, inst: Instance) -> PromiseAnswer:
     return _solve_majority_path(t, inst, spec.polarity)
 
 
-def brute_force_promise(t: Template, inst: Instance, cap: Optional[int] = None):
+def brute_force_promise(t: Template, inst: Instance, cap: int = 16):
     """Exhaustive (X -> A, X -> B) satisfiability; the testing oracle."""
     check_instance_against(inst, t)
-    if cap is None:
-        cap = int(os.environ.get("PCSP_MAX_BRUTE", "16"))
     if inst.var_count > cap:
         raise StructureError(f"instance above brute-force cap {cap}")
 

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,17 @@ def test_verify_rejects_tamper(tmp_path):
     cert.write_text(json.dumps(obj))
     code, out = invoke(["verify", str(cert), "-t", tpath])
     assert code == 1 and out.startswith("INVALID node=0")
+
+
+def test_verify_names_a_missing_field(tmp_path):
+    fixture = Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json"
+    obj = json.loads(fixture.read_text())
+    del obj["nodes"][2]["claim"]["a"]
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(obj))
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    code, out = invoke(["verify", str(cert), "-t", tpath])
+    assert (code, out) == (1, "INVALID node=2 reason=malformed node: missing field 'a'\n")
 
 
 def test_certify_small_p_reports(tmp_path):

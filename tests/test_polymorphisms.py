@@ -13,7 +13,7 @@ from pcsp.polymorphisms import (BlockEquivalence, BoolFunction, FunctionError,
                                 pack_args, parity_function, parse_function,
                                 projection, satisfies_h1, sigma_transform,
                                 unpack_index)
-from pcsp.structures import build_family
+from pcsp.structures import BoolRelation, build_family
 from conftest import NEQ, template, with_neq
 
 
@@ -374,6 +374,32 @@ def test_doubly_cyclic_enumeration_at_p3_is_empty():
     assert enumerate_doubly_cyclic_polymorphisms(t, 3) == []
 
 
+def test_doubly_cyclic_enumeration_matches_a_scan_at_p2():
+    """The orbit search against a scan of all 2**16 tables through the
+    minor-based identity check, results in the same order."""
+    doubly = [f for f in (BoolFunction(4, tab) for tab in range(2 ** 16))
+              if is_doubly_cyclic(f, 2)]
+    explicit = BoolRelation(2, frozenset(), symmetric=False,
+                            explicit_tuples=((0, 1), (1, 1)))
+    cases = [(template((build_family("exact", 1, 3), build_family("nae", 3))), 2),
+             (template((build_family("atmost", 1, 2), build_family("atmost", 1, 2))), 4),
+             (template((explicit, build_family("full", 2))), 64)]
+    for t, count in cases:
+        want = [f.table for f in doubly if is_polymorphism(f, t)]
+        assert len(want) == count
+        assert [f.table for f in enumerate_doubly_cyclic_polymorphisms(t, 2)] == want
+
+
+def test_doubly_cyclic_enumeration_of_neq_at_p3():
+    t = template((NEQ, NEQ))
+    found = enumerate_doubly_cyclic_polymorphisms(t, 3)
+    assert len(found) == 4096
+    tables = [f.table for f in found]
+    assert tables == sorted(set(tables))
+    assert all(is_doubly_cyclic(f, 3) for f in found)
+    assert is_polymorphism(found[0], t) and is_polymorphism(found[-1], t)
+
+
 def test_function_file_round_trip(rng):
     for d in (2, 3):
         f = random_function(rng, 3, d)
@@ -424,6 +450,13 @@ def test_format_function_pads_boolean_tables():
                 assert text == f"fn {n} {d}\n{str(v) * d ** n}\n"
                 g = parse_function(text)
                 assert (g.arity, g.domain_size, g.table) == (n, d, f.table)
+
+
+def test_enumerate_searches_deeper_than_the_recursion_limit():
+    t = template((NEQ, NEQ))
+    first = next(enumerate_polymorphisms(t, 10))  # 1024 entries deep
+    assert first.table == 2 ** 512 - 1  # the negated first argument
+    assert is_polymorphism(first, t)
 
 
 def test_enumerate_resource_guard():

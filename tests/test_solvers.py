@@ -298,11 +298,14 @@ def test_brute_force_examples():
     assert brute_force_promise(ONE_IN_THREE, inst) == (True, True)
 
 
-def test_brute_force_cap(monkeypatch):
-    monkeypatch.setenv("PCSP_MAX_BRUTE", "4")
+def test_brute_force_cap():
     with pytest.raises(StructureError):
-        brute_force_promise(ONE_IN_THREE, Instance(5, ()))
+        brute_force_promise(ONE_IN_THREE, Instance(5, ()), cap=4)
     assert brute_force_promise(ONE_IN_THREE, Instance(3, ()), cap=8) == (True, True)
+    # the default cap is 16 variables
+    assert brute_force_promise(ONE_IN_THREE, Instance(16, ())) == (True, True)
+    with pytest.raises(StructureError):
+        brute_force_promise(ONE_IN_THREE, Instance(17, ()))
 
 
 CATALOG = {
