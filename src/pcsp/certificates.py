@@ -729,12 +729,14 @@ def _claim_holds(edges, dsu: ParityDSU, val: dict) -> bool:
     return True
 
 
-def _deduce_claim(claim: dict, ctx: ProofContext, constraints, fact_edges) -> Optional[str]:
+def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
+                  fact_edges) -> Optional[str]:
     """Check that the claim holds in every consistent assignment.
 
-    fact_edges seed the union-find; constraints (usually one, or a twin pair
-    folded into one) prune the free-root assignments.  Returns None when the
-    claim is forced, else a reason string.
+    fact_edges seed the union-find; con (a twin pair is folded into one
+    constraint) prunes the free-root assignments, and without it the claim
+    must follow from the facts alone.  Returns None when the claim is
+    forced, else a reason string.
     """
     dsu = ParityDSU()
     dsu.find(ZERO)
@@ -743,7 +745,7 @@ def _deduce_claim(claim: dict, ctx: ProofContext, constraints, fact_edges) -> Op
             return "referenced facts are contradictory"
     edges = _claim_edges(claim, ctx)
     claim_terms = [e[i] for e in edges for i in (0, 1)]
-    if not constraints:
+    if con is None:
         # pure closure: the claim must already follow from the facts
         for x, y, parity in edges:
             rel = dsu.relation(x, y)
@@ -752,9 +754,6 @@ def _deduce_claim(claim: dict, ctx: ProofContext, constraints, fact_edges) -> Op
             if rel != parity:
                 return "claim contradicts the referenced facts"
         return None
-    if len(constraints) != 1:
-        raise CertificateError("local checks take a single folded constraint")
-    con = constraints[0]
     free, survivors = _constraint_survivors(con, dsu, claim_terms)
     if not survivors:
         return "no consistent assignment survives (inconsistent node)"
@@ -952,7 +951,7 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
         if not is_plausible_2d(comp + [(0,) * ctx.p] * pad, ctx):
             return "complemented family is not plausible"
     con = _padded_2d_constraint(z, members, pad, q_weights, twin, len(rows))
-    return _deduce_claim(node.claim, ctx, [con], facts)
+    return _deduce_claim(node.claim, ctx, con, facts)
 
 
 def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
@@ -986,7 +985,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             if not (ctx.twins and _twin_available(ks, ctx)):
                 return "complement rule unavailable for this tuple"
         con = _ktuple_constraint(ks, q_weights, twin)
-        return _deduce_claim(node.claim, ctx, [con], facts)
+        return _deduce_claim(node.claim, ctx, con, facts)
 
     if tag == "negation":
         if not template_has_neq:
@@ -1003,10 +1002,10 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             edge = (rect_term(blocks), rect_term(complement_blocks(blocks)), 1)
             if node.claim.get("kind") == "tame" and tuple(node.claim["blocks"]) != blocks:
                 return "claim does not name the complemented rectangle"
-        return _deduce_claim(node.claim, ctx, [], facts + [edge])
+        return _deduce_claim(node.claim, ctx, None, facts + [edge])
 
     if tag == "closure":
-        return _deduce_claim(node.claim, ctx, [], facts)
+        return _deduce_claim(node.claim, ctx, None, facts)
 
     if tag == "double_cyclicity":
         blocks = _ints(node.justify["blocks"], "block height")
@@ -1022,7 +1021,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         if node.claim.get("kind") != "tame" or tuple(node.claim["blocks"]) != blocks:
             return "claim does not name the flattened rectangle"
         edge = (rect_term(blocks), sigma_term(k), 0)
-        return _deduce_claim(node.claim, ctx, [], facts + [edge])
+        return _deduce_claim(node.claim, ctx, None, facts + [edge])
 
     if tag in ("halving", "completion"):
         return _check_completion_payload(node, ctx, q_weights, facts, template_has_neq)
@@ -1058,7 +1057,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         want = claim_distinct(rect_term(zb1), rect_term(zb2))
         if node.claim != want:
             return "claim does not name the two finale rectangles"
-        return _deduce_claim(node.claim, ctx, [], facts)
+        return _deduce_claim(node.claim, ctx, None, facts)
 
     return f"unknown justification {tag!r}"
 

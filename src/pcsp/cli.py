@@ -33,29 +33,20 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {e}")
 
 
-def _load_template(path: str) -> structures.Template:
+def _load(parse, path):
+    """Read and parse one input file; a parse error names the file."""
+    if path is None:
+        # the only optional path argument is -t, which poly needs for
+        # --is-polymorphism and --enumerate
+        raise _CliError("missing template file (-t)")
     try:
-        return structures.parse_template(_read(path))
-    except structures.StructureError as e:
-        raise _CliError(f"{path}: {e}")
-
-
-def _load_instance(path: str) -> structures.Instance:
-    try:
-        return structures.parse_instance(_read(path))
-    except structures.StructureError as e:
-        raise _CliError(f"{path}: {e}")
-
-
-def _load_function(path: str) -> polymorphisms.BoolFunction:
-    try:
-        return polymorphisms.parse_function(_read(path))
-    except polymorphisms.FunctionError as e:
+        return parse(_read(path))
+    except (structures.StructureError, polymorphisms.FunctionError) as e:
         raise _CliError(f"{path}: {e}")
 
 
 def _cmd_classify(args, out) -> int:
-    t = _load_template(args.template)
+    t = _load(structures.parse_template, args.template)
     verdict = classifier.classify(t)
     out.write(classifier.format_verdict(verdict) + "\n")
     if args.json:
@@ -77,11 +68,11 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_solve(args, out) -> int:
-    t = _load_template(args.template)
+    t = _load(structures.parse_template, args.template)
     batch = len(args.instance) > 1
     worst = EXIT_OK
     for path in args.instance:
-        inst = _load_instance(path)
+        inst = _load(structures.parse_instance, path)
         try:
             structures.check_instance_against(inst, t)
         except structures.StructureError as e:
@@ -109,7 +100,7 @@ def _format_witness(witness) -> str:
 
 def _cmd_poly(args, out) -> int:
     if args.enumerate is not None:
-        t = _load_template(args.template)
+        t = _load(structures.parse_template, args.template)
         count = 0
         for f in polymorphisms.enumerate_polymorphisms(t, args.enumerate):
             out.write(polymorphisms.format_function(f))
@@ -118,9 +109,9 @@ def _cmd_poly(args, out) -> int:
         return EXIT_OK
     if args.function is None:
         raise _CliError("poly needs a truth-table file")
-    f = _load_function(args.function)
+    f = _load(polymorphisms.parse_function, args.function)
     if args.is_polymorphism:
-        t = _load_template(args.template)
+        t = _load(structures.parse_template, args.template)
         ok = polymorphisms.is_polymorphism(f, t)
         out.write(("polymorphism" if ok else "not-a-polymorphism") + "\n")
         return EXIT_OK if ok else EXIT_NEGATIVE
@@ -164,7 +155,7 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    t = _load_template(args.template)
+    t = _load(structures.parse_template, args.template)
     try:
         cert = certificates.certificate_from_json(_read(args.certificate))
     except certificates.CertificateError as e:
@@ -179,6 +170,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
+    if args.max_s < 1:
+        raise _CliError("--max-s must be >= 1")
     rows = classifier.classification_table(args.max_s)
     width = max(len(label) for label, _ in rows)
     for label, verdict in rows:

@@ -39,6 +39,17 @@ class ResourceGuard(RuntimeError):
 MAX_ARITY = 24
 MAX_POLY_CONSTRAINTS = 2_000_000
 
+
+def _check_shape(arity: int, domain_size: int) -> None:
+    """Refuse an arity outside 1..MAX_ARITY or a domain size outside 2..4."""
+    if arity < 1:
+        raise FunctionError("arity must be >= 1")
+    if arity > MAX_ARITY:
+        raise FunctionError(f"arity {arity} above cap {MAX_ARITY}")
+    if not (2 <= domain_size <= 4):
+        raise FunctionError("domain size must be between 2 and 4")
+
+
 @dataclass(frozen=True)
 class BoolFunction:
     """An n-ary function over {0,..,domain_size-1} as a packed table."""
@@ -48,12 +59,7 @@ class BoolFunction:
     domain_size: int = 2
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise FunctionError("arity must be >= 1")
-        if self.arity > MAX_ARITY:
-            raise FunctionError(f"arity {self.arity} above cap {MAX_ARITY}")
-        if not (2 <= self.domain_size <= 4):
-            raise FunctionError("domain size must be between 2 and 4")
+        _check_shape(self.arity, self.domain_size)
         size = self.domain_size ** self.arity
         if self.domain_size == 2:
             if not isinstance(self.table, int) or self.table < 0 or self.table >> size:
@@ -115,6 +121,7 @@ def _from_digits(arity: int, digits: bytes, domain_size: int) -> BoolFunction:
 
 def make_function(arity: int, values, domain_size: int = 2) -> BoolFunction:
     """Build a function from an iterable of table values in index order."""
+    _check_shape(arity, domain_size)  # before domain_size ** arity
     # bytes already hold one value per entry
     vals = values if isinstance(values, bytes) else list(values)
     if len(vals) != domain_size ** arity:
@@ -305,6 +312,8 @@ def is_polymorphism(f: BoolFunction, t: Template) -> bool:
 
 def enumerate_polymorphisms(t: Template, n: int) -> Iterator[BoolFunction]:
     """Yield every n-ary Boolean polymorphism of t, in increasing table order."""
+    if n < 1:
+        raise FunctionError("arity must be >= 1")
     if n > MAX_ARITY:
         raise ResourceGuard(f"arity {n} above cap {MAX_ARITY}")
     size = 2 ** n

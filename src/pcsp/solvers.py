@@ -3,13 +3,13 @@
 Three backends, all over exact arithmetic: GF(2) elimination on bit-packed
 rows, integer linear feasibility by column reduction to a triangular system
 (unimodular column operations, so solutions map back exactly), and rational
-LP feasibility by a bounded-variable phase-one simplex (Dantzig 1955;
-Chvatal 1983, ch. 8): box bounds stay in the ratio test instead of becoming
-rows, and the entering column has the largest reduced cost, with Bland's
-rule after a run of degenerate pivots.  The simplex holds each tableau row
-as sparse integer numerators over one positive row denominator (the
-integer-preserving elimination of Edmonds and Bareiss), so it pivots the
-rational tableau without Fraction arithmetic.
+LP feasibility over the unit box by a bounded-variable phase-one simplex
+(Dantzig 1955; Chvatal 1983, ch. 8): the bounds 0 <= x <= 1 stay in the
+ratio test instead of becoming rows, and the entering column has the
+largest reduced cost, with Bland's rule after a run of degenerate pivots.
+The simplex holds each tableau row as sparse integer numerators over one
+positive row denominator (the integer-preserving elimination of Edmonds and
+Bareiss), so it pivots the rational tableau without Fraction arithmetic.
 
 The promise solver translates instances through the recipe the classifier
 recognized.  Constraints whose variable tuple repeats a variable are routed
@@ -176,24 +176,13 @@ def solve_diophantine(system: IntLinearSystem) -> Optional[List[int]]:
 
 @dataclass(frozen=True)
 class RationalInequalitySystem:
-    """Rows (coeffs, sense, rhs) with sense in {'<=', '>=', '='}.
-
-    Every variable carries the box bound lower <= x <= upper (default 0..1);
-    coefficients are exact rationals.
-    """
+    """Rows (coeffs, sense, rhs) with sense in {'<=', '>=', '='} over the
+    unit box 0 <= x <= 1; coefficients are exact rationals."""
 
     n_vars: int
     rows: tuple
-    lower: tuple = None
-    upper: tuple = None
 
     def __post_init__(self):
-        if self.lower is None:
-            object.__setattr__(self, "lower", tuple([Fraction(0)] * self.n_vars))
-        if self.upper is None:
-            object.__setattr__(self, "upper", tuple([Fraction(1)] * self.n_vars))
-        if len(self.lower) != self.n_vars or len(self.upper) != self.n_vars:
-            raise StructureError("bounds length mismatch")
         for coeffs, sense, _ in self.rows:
             if len(coeffs) != self.n_vars:
                 raise StructureError("row width mismatch")
@@ -227,20 +216,16 @@ def _eliminate(row: dict, den: int, col: int, prow: dict, pden: int) -> int:
     return _reduce(row, den * scale)
 
 
-def _complement(row: dict, den: int, col: int, span: Fraction) -> int:
-    """Substitute span - y for the column's y in row/den, which moves a
-    column from one bound to the other; returns the new denominator."""
-    a, p, q = row[col], span.numerator, span.denominator
-    if q != 1:
-        for j in row:
-            row[j] *= q
-    row[col] = -a * q
-    b = row.get(-1, 0) - a * p
+def _complement(row: dict, col: int) -> None:
+    """Substitute 1 - y for the column's y in a row, which moves a column
+    from one bound to the other; a reduced row stays reduced."""
+    a = row[col]
+    row[col] = -a
+    b = row.get(-1, 0) - a
     if b:
         row[-1] = b
     else:
         row.pop(-1, None)
-    return _reduce(row, den * q)
 
 
 # Consecutive degenerate pivots after which the entering rule turns from the
@@ -251,31 +236,26 @@ DEGENERATE_RUN = 20
 def _phase_one(system: RationalInequalitySystem):
     """Bounded-variable phase-one simplex on exact integer rows.
 
-    Returns None when some box is empty, else the final tableau (rows, dens,
-    basis, flipped, span).  rows[i] / dens[i] is constraint row i with basic
-    column basis[i]; rows[-1] is the reduced-cost row of the sum of the
-    artificials, whose constant (key -1) is zero exactly when the system is
-    feasible.  flipped[j] marks a structural column held as span[j] - y_j.
+    Returns the final tableau (rows, dens, basis, flipped).  rows[i] /
+    dens[i] is constraint row i with basic column basis[i]; rows[-1] is the
+    reduced-cost row of the sum of the artificials, whose constant (key -1)
+    is zero exactly when the system is feasible.  flipped[j] marks a
+    structural column held as 1 - y_j.
     """
-    n, lower = system.n_vars, system.lower
-    span = [hi - lo if lo else hi for lo, hi in zip(lower, system.upper)]
-    if any(u < 0 for u in span):
-        return None
-    # columns: n structural (0 <= y <= span after the lower-bound shift; a
-    # zero span is fixed and left out), one slack or surplus per inequality
-    # row, then one artificial per row whose slack cannot start basic; each
-    # row is a sparse map column -> numerator over one positive denominator,
-    # with the right-hand side under key -1
+    n = system.n_vars
+    # columns: n structural (0 <= y <= 1), one slack or surplus per
+    # inequality row, then one artificial per row whose slack cannot start
+    # basic; each row is a sparse map column -> numerator over one positive
+    # denominator, with the right-hand side under key -1
     ncols = n + sum(1 for _, sense, _ in system.rows if sense != "=")
     rows, dens, basis, art_rows = [], [], [], []
     slack, total = n, ncols
     for i, (coeffs, sense, rhs) in enumerate(system.rows):
         terms = {j: c for j, c in enumerate(coeffs) if c}
-        rhs = Fraction(rhs) - sum(c * lower[j] for j, c in terms.items() if lower[j])
+        rhs = Fraction(rhs)
         den = lcm(rhs.denominator, *(c.denominator for c in terms.values()))
         sign = -1 if rhs < 0 else 1
-        row = {j: sign * c.numerator * (den // c.denominator)
-               for j, c in terms.items() if span[j]}
+        row = {j: sign * c.numerator * (den // c.denominator) for j, c in terms.items()}
         if rhs:
             row[-1] = sign * rhs.numerator * (den // rhs.denominator)
         if sense != "=":
@@ -311,27 +291,23 @@ def _phase_one(system: RationalInequalitySystem):
         # an artificial that left the basis stays at zero
         cands = [(v, j) for j, v in z.items() if v > 0 and 0 <= j < ncols and not is_basic[j]]
         if not cands:
-            return rows, dens, basis, flipped, span
+            return rows, dens, basis, flipped
         if stall < DEGENERATE_RUN:
             enter = max(cands, key=lambda vj: (vj[0], -vj[1]))[1]
         else:
             enter = min(j for _, j in cands)
         # the least step, as (num, den) with den > 0 compared by
-        # cross-multiplication: the entering column reaching its own span,
-        # a basic column falling to 0, or a structural one rising to its
-        # span; ties go to the bound flip, then to the lower basic column
-        best = (span[enter].numerator, span[enter].denominator) if enter < n else None
+        # cross-multiplication: the entering column rising to its upper
+        # bound 1, a basic column falling to 0, or a structural one rising
+        # to 1; ties go to the bound flip, then to the lower basic column
+        best = (1, 1) if enter < n else None
         leave = None
         for i, bcol in enumerate(basis):
             a = rows[i].get(enter)
             if not a or (a < 0 and bcol >= n):
                 continue
             b = rows[i].get(-1, 0)
-            if a > 0:
-                num, den = b, a
-            else:
-                u = span[bcol]
-                num, den = u.numerator * dens[i] - u.denominator * b, -a * u.denominator
+            num, den = (b, a) if a > 0 else (dens[i] - b, -a)
             if (best is None or num * best[1] < best[0] * den or (
                     num * best[1] == best[0] * den and leave is not None and bcol < basis[leave])):
                 leave, best = i, (num, den)
@@ -343,7 +319,7 @@ def _phase_one(system: RationalInequalitySystem):
             prow = rows[leave]
             if prow[enter] > 0:
                 flip = None
-            else:  # the basic column leaves at its span
+            else:  # the basic column leaves at 1
                 flip = basis[leave]
                 for j in prow:
                     prow[j] = -prow[j]
@@ -355,9 +331,9 @@ def _phase_one(system: RationalInequalitySystem):
             basis[leave] = enter
         if flip is not None:
             flipped[flip] = not flipped[flip]
-            for i, row in enumerate(rows):
+            for row in rows:
                 if flip in row:
-                    dens[i] = _complement(row, dens[i], flip, span[flip])
+                    _complement(row, flip)
 
 
 def _holds(val, sense: str, rhs) -> bool:
@@ -365,44 +341,41 @@ def _holds(val, sense: str, rhs) -> bool:
 
 
 def _check_point(system: RationalInequalitySystem, x, what: str) -> None:
-    """Exact re-check of a point against every row and box of a system,
-    with x scaled to integers by the lcm d of its denominators."""
+    """Exact re-check of a point against every row of a system and the
+    unit box, with x scaled to integers by the lcm d of its denominators."""
     d = lcm(*(xi.denominator for xi in x))
     xd = [xi.numerator * (d // xi.denominator) for xi in x]
     for coeffs, sense, rhs in system.rows:
         if not _holds(sum(c * xd[j] for j, c in enumerate(coeffs) if c), sense, rhs * d):
             raise InternalCheckError(f"{what} fails re-check")
-    for xi, lo, hi in zip(x, system.lower, system.upper):
-        if not (lo <= xi <= hi):
+    for xi in x:
+        if not (0 <= xi <= 1):
             raise InternalCheckError(f"{what} violates its box")
 
 
 def solve_lp_feasible(system: RationalInequalitySystem) -> Optional[List[Fraction]]:
     """Feasibility by a bounded-variable phase-one simplex; a point or None.
 
-    Variables are shifted by their lower bounds, and the upper bounds stay
-    bounds: the ratio test also stops where a basic column reaches its span
-    or the entering column its own (a bound flip), and a column at its
-    upper bound is complemented (y = span - y') on the integer rows.  Each
-    tableau row is a sparse map column -> integer numerator over one
-    positive row denominator, divided by the gcd of its entries whenever it
-    changes.  The entering column has the largest positive reduced cost;
-    after DEGENERATE_RUN degenerate pivots in a row it is the lowest such
-    index (Bland's rule) until a pivot makes progress.  The leaving row has
-    the least ratio, ties to the lower basic column.  The point is
-    re-checked exactly against every row and box before it is returned.
+    Every column lies in [0, 1], and the upper bound stays a bound: the
+    ratio test also stops where a basic column reaches 1 or the entering
+    column its own 1 (a bound flip), and a column at its upper bound is
+    complemented (y = 1 - y') on the integer rows.  Each tableau row is a
+    sparse map column -> integer numerator over one positive row
+    denominator, divided by the gcd of its entries whenever it changes.
+    The entering column has the largest positive reduced cost; after
+    DEGENERATE_RUN degenerate pivots in a row it is the lowest such index
+    (Bland's rule) until a pivot makes progress.  The leaving row has the
+    least ratio, ties to the lower basic column.  The point is
+    re-checked exactly against every row and the box before it is returned.
     """
-    tab = _phase_one(system)
-    if tab is None:
-        return None
-    rows, dens, basis, flipped, span = tab
+    rows, dens, basis, flipped = _phase_one(system)
     if rows[-1].get(-1):  # the sum of the artificials stays above zero
         return None
     value = [Fraction(0)] * system.n_vars
     for i, bcol in enumerate(basis):
         if bcol < system.n_vars:
             value[bcol] = Fraction(rows[i].get(-1, 0), dens[i])
-    x = [lo + (u - v if f else v) for lo, u, v, f in zip(system.lower, span, value, flipped)]
+    x = [1 - v if f else v for v, f in zip(value, flipped)]
     _check_point(system, x, "LP point")
     return x
 
@@ -511,8 +484,6 @@ def _lp_translate(t: Template, inst: Instance) -> RationalInequalitySystem:
     total = nx + sum(len(points) for points, _ in extra_cols)
     wide_rows = [(list(coeffs) + [0] * (total - nx), sense, Fraction(rhs))
                  for coeffs, sense, rhs in rows]
-    lower = [Fraction(0)] * total
-    upper = [Fraction(1)] * total
     for points, variables in extra_cols:
         k = len(points)
         conv = [0] * total
@@ -526,8 +497,7 @@ def _lp_translate(t: Template, inst: Instance) -> RationalInequalitySystem:
                 marg[base + j] = bits[pos]
             wide_rows.append((marg, "=", Fraction(0)))
         base += k
-    return RationalInequalitySystem(total, tuple((tuple(c), s, r) for c, s, r in wide_rows),
-                                    tuple(lower), tuple(upper))
+    return RationalInequalitySystem(total, tuple((tuple(c), s, r) for c, s, r in wide_rows))
 
 
 def _check_dio_witness(t: Template, inst: Instance, point: List[int]) -> None:
@@ -584,8 +554,8 @@ def _presolve(system: RationalInequalitySystem, nx: int, comp, color):
     keep their order behind the component columns.  A disequality row
     becomes the constant row 0 = 0.  Rows that become constant are dropped
     when they hold; None when one fails, which makes the untransformed
-    system infeasible.  `_lp_translate` boxes every variable to [0, 1], and
-    so every component column.
+    system infeasible.  Every column, and so every component column, lies
+    in the unit box.
     """
     k = max(comp, default=-1) + 1
     width = k + system.n_vars - nx
@@ -609,9 +579,7 @@ def _presolve(system: RationalInequalitySystem, nx: int, comp, color):
             rows.append((tuple(new), sense, rhs))
         elif not _holds(0, sense, rhs):
             return None
-    return RationalInequalitySystem(width, tuple(rows),
-                                    (Fraction(0),) * k + system.lower[nx:],
-                                    (Fraction(1),) * k + system.upper[nx:])
+    return RationalInequalitySystem(width, tuple(rows))
 
 
 def _lift(point, comp, color) -> List[Fraction]:

@@ -385,8 +385,10 @@ def _parse_relation_spec(tokens: list, pos: int, lineno: int):
             raise ParseError(lineno, f"bad arity {args[0]!r}")
         tups = []
         for part in args[1].split(";"):
-            bits = tuple(int(c) for c in part.split(","))
-            tups.append(bits)
+            try:
+                tups.append(tuple(int(c) for c in part.split(",")))
+            except ValueError:
+                raise ParseError(lineno, f"bad tuple {part!r}")
         try:
             rel = BoolRelation(s, frozenset(), symmetric=False,
                                explicit_tuples=tuple(tups), name=f"explicit {s}")

@@ -266,3 +266,56 @@ def test_verify_huge_b_is_prompt(tmp_path):
     assert time.process_time() - start < 0.5
     assert (code, out) == (1, "INVALID reason=pigeonhole interval has too few integers\n")
 
+
+
+def _usage_error(argv, capsys) -> str:
+    """Run argv, expect exit 2 with nothing on stdout and exactly one
+    `error:` line on stderr, and return that line."""
+    capsys.readouterr()
+    assert invoke(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("tuples", ["0,x;1,0", "0,1;;1,0"])
+def test_explicit_tuples_are_read_strictly(tmp_path, capsys, tuples):
+    path = tmp_path / "t.tmpl"
+    path.write_text(f"template\npair explicit 2 {tuples} neq\nend\n", encoding="utf-8")
+    err = _usage_error(["classify", "-t", str(path)], capsys)
+    assert "line 2: bad tuple" in err
+
+
+@pytest.mark.parametrize("header, message", [("fn 999999 3", "arity 999999 above cap 24"),
+                                             ("fn -1 2", "arity must be >= 1"),
+                                             ("fn 2 5", "domain size must be between 2 and 4")])
+def test_truth_table_header_is_checked_before_the_table(tmp_path, capsys, header, message):
+    """3^999999 used to be formatted into a message (a ValueError traceback),
+    and arity -1 asked for 0.5 values."""
+    path = tmp_path / "f.tt"
+    path.write_text(f"{header}\n0\n", encoding="utf-8")
+    err = _usage_error(["poly", str(path), "--cyclic"], capsys)
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_poly_without_a_template_is_refused(tmp_path, capsys):
+    fpath = tmp_path / "f.tt"
+    fpath.write_text(format_function(parity_function(3)), encoding="utf-8")
+    for argv in (["poly", str(fpath), "--is-polymorphism"], ["poly", "--enumerate", "2"]):
+        assert _usage_error(argv, capsys) == "error: missing template file (-t)\n"
+
+
+def test_enumerate_arity_below_one_is_refused(tmp_path, capsys):
+    """Arity 0 was refused for some templates and printed `count 0` for
+    others; a negative arity raised a TypeError."""
+    full3 = template((build_family("full", 3), build_family("full", 3)))
+    for t in (ONE_IN_THREE, full3):
+        tpath = write_template(tmp_path, "t.tmpl", t)
+        for n in ("0", "-3"):
+            err = _usage_error(["poly", "-t", tpath, "--enumerate", n], capsys)
+            assert err == "error: arity must be >= 1\n"
+
+
+def test_table_max_s_below_one_is_refused(capsys):
+    for k in ("0", "-2"):
+        assert _usage_error(["table", "--max-s", k], capsys) == "error: --max-s must be >= 1\n"

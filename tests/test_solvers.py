@@ -102,15 +102,16 @@ def test_lp_infeasible_example():
 
 
 def _vertex_oracle(sys: RationalInequalitySystem) -> bool:
-    """Feasibility by enumerating candidate vertices of the boxed system."""
+    """Feasibility by enumerating candidate vertices of the system in the
+    unit box."""
     n = sys.n_vars
     planes = []
     for coeffs, sense, rhs in sys.rows:
         planes.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
     for i in range(n):
         unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        planes.append((unit, Fraction(sys.lower[i])))
-        planes.append((unit, Fraction(sys.upper[i])))
+        planes.append((unit, Fraction(0)))
+        planes.append((unit, Fraction(1)))
 
     def satisfies(x):
         for coeffs, sense, rhs in sys.rows:
@@ -121,7 +122,7 @@ def _vertex_oracle(sys: RationalInequalitySystem) -> bool:
                 return False
             if sense == "=" and val != rhs:
                 return False
-        return all(lo <= xi <= hi for xi, lo, hi in zip(x, sys.lower, sys.upper))
+        return all(0 <= xi <= 1 for xi in x)
 
     for subset in itertools.combinations(range(len(planes)), n):
         mat = [list(planes[i][0]) + [planes[i][1]] for i in subset]
@@ -166,12 +167,13 @@ def _assert_in_system(sys: RationalInequalitySystem, x) -> None:
     for coeffs, sense, rhs in sys.rows:
         val = sum(c * xi for c, xi in zip(coeffs, x))
         assert {"<=": val <= rhs, ">=": val >= rhs, "=": val == rhs}[sense], (sys, x)
-    assert all(lo <= xi <= hi for xi, lo, hi in zip(x, sys.lower, sys.upper)), (sys, x)
+    assert all(0 <= xi <= 1 for xi in x), (sys, x)
 
 
-def test_lp_rational_boxes_against_vertex_enumeration(rng):
-    """Rational coefficients and boxes, negative right-hand sides and empty
-    boxes: feasibility matches the oracle and every point is re-checked."""
+def test_lp_rational_rows_against_vertex_enumeration(rng):
+    """Rational coefficients and right-hand sides, negative ones among them:
+    feasibility matches the oracle, every point lies in its rows and box,
+    and some final tableau holds a column at its upper bound (flipped)."""
 
     def q(lo, hi):
         return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
@@ -181,48 +183,17 @@ def test_lp_rational_boxes_against_vertex_enumeration(rng):
         n = rng.randint(1, 3)
         rows = tuple((tuple(q(-4, 4) for _ in range(n)), rng.choice(["<=", ">=", "="]),
                       q(-6, 6)) for _ in range(rng.randint(1, 4)))
-        lower = tuple(q(-4, 4) for _ in range(n))
-        upper = tuple(lo + q(-1, 6) for lo in lower)
-        sys = RationalInequalitySystem(n, rows, lower, upper)
+        sys = RationalInequalitySystem(n, rows)
         x = solve_lp_feasible(sys)
         assert (x is not None) == _vertex_oracle(sys), sys
         if x is not None:
             _assert_in_system(sys, x)
         seen.add("feasible" if x is not None else "infeasible")
-        if any(hi < lo for lo, hi in zip(lower, upper)):
-            seen.add("empty box")
         if any(rhs < 0 for _, _, rhs in rows):
             seen.add("negative rhs")
-    assert seen == {"feasible", "infeasible", "empty box", "negative rhs"}
-
-
-def test_lp_bounded_columns_against_vertex_enumeration(rng):
-    """Zero-width boxes, negative lower bounds and spans that are not
-    integers (complemented with a denominator): feasibility matches the
-    oracle and every point lies in its rows and box."""
-
-    def q(lo, hi):
-        return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
-
-    seen = set()
-    for _ in range(300):
-        n = rng.randint(1, 3)
-        rows = tuple((tuple(q(-4, 4) for _ in range(n)), rng.choice(["<=", ">=", "="]),
-                      q(-6, 6)) for _ in range(rng.randint(1, 4)))
-        lower = tuple(q(-4, 2) for _ in range(n))
-        spans = [rng.choice((Fraction(0), Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5)))))
-                 for _ in range(n)]
-        sys = RationalInequalitySystem(n, rows, lower, tuple(lo + u for lo, u in zip(lower, spans)))
-        x = solve_lp_feasible(sys)
-        assert (x is not None) == _vertex_oracle(sys), sys
-        if x is not None:
-            _assert_in_system(sys, x)
-        seen.add("feasible" if x is not None else "infeasible")
-        seen.update(label for label, hit in (("zero width", 0 in spans),
-                                             ("negative lower", min(lower) < 0),
-                                             ("fractional span", any(u.denominator > 1 for u in spans)))
-                    if hit)
-    assert seen == {"feasible", "infeasible", "zero width", "negative lower", "fractional span"}
+        if any(solvers._phase_one(sys)[3]):
+            seen.add("flipped")
+    assert seen == {"feasible", "infeasible", "negative rhs", "flipped"}
 
 
 @functools.lru_cache(maxsize=None)
