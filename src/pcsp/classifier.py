@@ -95,7 +95,7 @@ def _dedup_pairs(t: Template):
     out = []
     for a, b in t.pairs:
         key = (a.arity, frozenset(a.weights), frozenset(b.weights),
-               a.explicit_tuples, b.explicit_tuples, a.symmetric, b.symmetric)
+               a.explicit_tuples, b.explicit_tuples)
         if key not in seen:
             seen.add(key)
             out.append((a, b))
@@ -148,10 +148,10 @@ def match_basic(t: Template) -> Optional[BasicCase]:
         # item (a): equal parity relations
         if wa == wb and wa in (_odd_weights(s), _even_weights(s)):
             return BasicCase("a", 0, s, mirrored, has_neq)
-        # item (b): (atmost r, atmost 2r-1) with 2r <= s
-        for r in range(1, s // 2 + 1):
-            if wa == set(range(0, r + 1)) and wb == set(range(0, 2 * r)):
-                return BasicCase("b", r, s, mirrored, has_neq)
+        # item (b): (atmost r, atmost 2r-1) with 2r <= s; r is read off wa
+        r = max(wa, default=0)
+        if 1 <= r <= s // 2 and wa == set(range(0, r + 1)) and wb == set(range(0, 2 * r)):
+            return BasicCase("b", r, s, mirrored, has_neq)
         # item (c): (exactly r, not-all-equal)
         if len(wa) == 1 and wb == set(range(1, s)):
             r = next(iter(wa))
@@ -234,20 +234,22 @@ def _tractable_shape_exists(t: Template) -> bool:
                     return True
             return False
         if item == "b":
-            for r in range(1, s // 2 + 1):
-                if fa <= set(range(0, r + 1)) and \
-                        _apply_swap(set(range(0, 2 * r)), s, g_swap) <= wb:
-                    return True
-                rr = s - r  # the at-least form with parameter rr >= s/2
-                if fa <= set(range(rr, s + 1)) and \
-                        _apply_swap(set(range(2 * rr - s + 1, s + 1)), s, g_swap) <= wb:
-                    return True
-            return False
-        # item c
-        for r in range(1, s):
-            if fa <= {r} and _apply_swap(set(range(1, s)), s, g_swap) <= wb:
+            # the at-most form (atmost r, atmost 2r-1), 1 <= r <= s/2, needs
+            # fa <= [0, r]; its B side grows with r, so the least such r is
+            # the one to try
+            r = max(1, max(fa, default=0))
+            if r <= s // 2 and _apply_swap(set(range(0, 2 * r)), s, g_swap) <= wb:
                 return True
-        return False
+            # the at-least form (atleast rr, atleast 2rr-s+1), s/2 <= rr < s,
+            # needs fa <= [rr, s]; its B side shrinks as rr grows, so the
+            # largest such rr is the one to try
+            rr = min(s - 1, min(fa, default=s))
+            return rr >= s - s // 2 and \
+                _apply_swap(set(range(2 * rr - s + 1, s + 1)), s, g_swap) <= wb
+        # item c: (exactly r, not-all-equal) for some 1 <= r < s, so fa <= {r};
+        # the not-all-equal side is its own 0/1 swap
+        return s >= 2 and len(fa) <= 1 and all(0 < w < s for w in fa) and \
+            set(range(1, s)) <= wb
 
     shapes = [(set(a.weights), set(b.weights), a.arity) for a, b in others]
     for f_swap in (False, True):

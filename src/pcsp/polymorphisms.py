@@ -1,21 +1,20 @@
-"""Finite functions as packed truth tables: minors, identities, polymorphisms.
+"""Finite functions as truth tables: minors, identities, polymorphisms.
 
 A function of arity n over a domain of size d is a table of d**n values,
 indexed by reading the argument tuple as a base-d number with the first
-argument most significant.  Boolean tables are packed into a single int
-(bit i = entry i); small non-Boolean domains (needed for inner functions of
-the square composition) use bytes.
+argument most significant.  The table is a bytes object, one value per
+byte and entry 0 first, at every domain size (domains of size 3 and 4 are
+needed for inner functions of the square composition).
 
 Cyclicity, double cyclicity, the row/column transpose, and boundedness are
 all decided by exhaustive evaluation, which is the point: these are the
 desk-scale oracles the symbolic certificate machinery is checked against.
 
-Whole tables move at once.  A table is unpacked into one ASCII digit per
-entry, and a minor is an index-map gather: a minor map gives each target
-variable a weight, the source index of a target entry is the mixed-radix
-sum of its variables' weights, and the digits are read in target order in
-one pass.  The square composition and the boundedness check are gathers of
-the same kind.
+Whole tables move at once.  A minor is an index-map gather: a minor map
+gives each target variable a weight, the source index of a target entry is
+the mixed-radix sum of its variables' weights, and the source entries are
+read in target order in one pass.  The square composition and the
+boundedness check are gathers of the same kind.
 """
 
 from __future__ import annotations
@@ -37,53 +36,53 @@ class ResourceGuard(RuntimeError):
 
 
 MAX_ARITY = 24
+MAX_TABLE_ENTRIES = 2 ** 26  # 64 MiB of table; 3**16 entries still fit
 MAX_POLY_CONSTRAINTS = 2_000_000
 
 
 def _check_shape(arity: int, domain_size: int) -> None:
-    """Refuse an arity outside 1..MAX_ARITY or a domain size outside 2..4."""
+    """Refuse an arity outside 1..MAX_ARITY, a domain size outside 2..4, or
+    a table of more than MAX_TABLE_ENTRIES entries."""
     if arity < 1:
         raise FunctionError("arity must be >= 1")
     if arity > MAX_ARITY:
         raise FunctionError(f"arity {arity} above cap {MAX_ARITY}")
     if not (2 <= domain_size <= 4):
         raise FunctionError("domain size must be between 2 and 4")
+    if domain_size ** arity > MAX_TABLE_ENTRIES:
+        raise FunctionError(f"table of {domain_size}**{arity} entries above cap "
+                            f"{MAX_TABLE_ENTRIES}")
 
 
 @dataclass(frozen=True)
 class BoolFunction:
-    """An n-ary function over {0,..,domain_size-1} as a packed table."""
+    """An n-ary function over {0,..,domain_size-1}; table[i] is entry i."""
 
     arity: int
-    table: object  # int bitmask when domain_size == 2, bytes otherwise
+    table: bytes
     domain_size: int = 2
 
     def __post_init__(self):
         _check_shape(self.arity, self.domain_size)
         size = self.domain_size ** self.arity
-        if self.domain_size == 2:
-            if not isinstance(self.table, int) or self.table < 0 or self.table >> size:
-                raise FunctionError("Boolean table must be an int with 2**arity bits")
-        else:
-            if not isinstance(self.table, bytes) or len(self.table) != size:
-                raise FunctionError(f"table must be bytes of length {size}")
-            if max(self.table) >= self.domain_size:
-                raise FunctionError("table entry outside the domain")
+        if not isinstance(self.table, bytes) or len(self.table) != size:
+            raise FunctionError(f"table must be bytes of length {size}")
+        # deleting every in-domain value leaves nothing (one pass in C)
+        if self.table.translate(None, bytes(range(self.domain_size))):
+            raise FunctionError("table entry outside the domain")
 
     @property
     def size(self) -> int:
         return self.domain_size ** self.arity
 
     def value_at(self, index: int) -> int:
-        if self.domain_size == 2:
-            return (self.table >> index) & 1
         return self.table[index]
 
     def __call__(self, args) -> int:
         return self.value_at(pack_args(args, self.domain_size))
 
     def values(self) -> Iterator[int]:
-        return iter(_digits(self).translate(_DIGIT_VALUE))
+        return iter(self.table)
 
 
 def pack_args(args, domain_size: int = 2) -> int:
@@ -101,39 +100,24 @@ def unpack_index(index: int, arity: int, domain_size: int = 2) -> tuple:
     return tuple(out)
 
 
-# entry values 0..9 <-> their ASCII digits, as bytes.translate tables
-_VALUE_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
-_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
-def _digits(f: BoolFunction) -> bytes:
-    """The table as one ASCII digit per entry, entry 0 first."""
-    if f.domain_size == 2:
-        return format(f.table, f"0{f.size}b")[::-1].encode("ascii")
-    return f.table.translate(_VALUE_DIGIT)
-
-
-def _from_digits(arity: int, digits: bytes, domain_size: int) -> BoolFunction:
-    if domain_size == 2:
-        return BoolFunction(arity, int(digits[::-1], 2), 2)
-    return BoolFunction(arity, digits.translate(_DIGIT_VALUE), domain_size)
-
-
 def make_function(arity: int, values, domain_size: int = 2) -> BoolFunction:
-    """Build a function from an iterable of table values in index order."""
+    """Build a function from an iterable of table values in index order.
+
+    Every value must be an int (a bool counts) in range(domain_size).
+    """
     _check_shape(arity, domain_size)  # before domain_size ** arity
     # bytes already hold one value per entry
     vals = values if isinstance(values, bytes) else list(values)
     if len(vals) != domain_size ** arity:
         raise FunctionError(f"expected {domain_size ** arity} values, got {len(vals)}")
+    try:
+        return BoolFunction(arity, bytes(vals), domain_size)
+    except (TypeError, ValueError):
+        # bytes() refused a value, or the domain check did
+        bad = next(v for v in vals if not (isinstance(v, int) and 0 <= v < domain_size))
     if domain_size == 2:
-        if vals.count(0) + vals.count(1) != len(vals):
-            bad = next(v for v in vals if v not in (0, 1))
-            raise FunctionError(f"bad Boolean value {bad!r}")
-        if isinstance(vals, list):
-            vals = bytes(map(bool, vals))
-        return _from_digits(arity, vals.translate(_VALUE_DIGIT), 2)
-    return BoolFunction(arity, bytes(vals), domain_size)
+        raise FunctionError(f"bad Boolean value {bad!r}")
+    raise FunctionError("table entry outside the domain")
 
 
 def function_from_callable(arity: int, fn, domain_size: int = 2) -> BoolFunction:
@@ -238,8 +222,7 @@ def minor(f: BoolFunction, pi: MinorMap) -> BoolFunction:
     if pi.source_arity != f.arity:
         raise FunctionError(f"minor map source arity {pi.source_arity} != {f.arity}")
     d = f.domain_size
-    return _from_digits(pi.target_arity,
-                        _gather(_digits(f), _variable_offsets(pi, d)), d)
+    return BoolFunction(pi.target_arity, _gather(f.table, _variable_offsets(pi, d)), d)
 
 
 @dataclass(frozen=True)
@@ -298,7 +281,7 @@ def is_polymorphism(f: BoolFunction, t: Template) -> bool:
     if f.domain_size != 2:
         raise FunctionError("polymorphism testing is for Boolean functions")
     n = f.arity
-    vals = list(f.values())
+    vals = f.table
     for pair in t.pairs:
         count = pair[0].count_tuples() ** n
         if count > MAX_POLY_CONSTRAINTS:
@@ -311,7 +294,9 @@ def is_polymorphism(f: BoolFunction, t: Template) -> bool:
 
 
 def enumerate_polymorphisms(t: Template, n: int) -> Iterator[BoolFunction]:
-    """Yield every n-ary Boolean polymorphism of t, in increasing table order."""
+    """Yield every n-ary Boolean polymorphism of t, in increasing table order:
+    of two tables, the lesser is the one with 0 at the highest entry where
+    they differ."""
     if n < 1:
         raise FunctionError("arity must be >= 1")
     if n > MAX_ARITY:
@@ -329,7 +314,8 @@ def _search(t: Template, n: int, orbit_of, m: int) -> Iterator[BoolFunction]:
     tested once the last of its orbits is fixed.  When orbits are numbered
     in decreasing order of their largest entry, two emitted functions first
     differ at the highest entry where their tables differ, so emission order
-    is increasing table order.
+    is increasing table order: tables compared from the highest entry down,
+    as the ints with entry i at bit i would compare.
     """
     total = sum(pair[0].count_tuples() ** n for pair in t.pairs)
     if total > MAX_POLY_CONSTRAINTS:
@@ -381,14 +367,12 @@ def compose_eq1(c: BoolFunction, p: int) -> BoolFunction:
     """
     if c.arity != p:
         raise FunctionError(f"inner function arity {c.arity} != p={p}")
-    if p * p > MAX_ARITY:
-        raise FunctionError(f"composed arity {p * p} above cap")
     d = c.domain_size
-    inner = list(c.values())
+    _check_shape(p * p, d)  # before the gather builds d**(p*p) entries
     # column j's argument block selects inner value v, which adds v * d**(p-1-j)
     # to the outer index into c
-    columns = [[v * d ** (p - 1 - j) for v in inner] for j in range(p)]
-    return _from_digits(p * p, _gather(_digits(c), columns), d)
+    columns = [[v * d ** (p - 1 - j) for v in c.table] for j in range(p)]
+    return BoolFunction(p * p, _gather(c.table, columns), d)
 
 
 def _block_rotation_map(p: int, block: int) -> MinorMap:
@@ -478,8 +462,7 @@ def derive_sim(c: BoolFunction) -> BlockEquivalence:
     """Group patterns by the binary function (x,y) -> c(pattern substituted)."""
     p = c.arity
     d = c.domain_size
-    vals = list(c.values())
-    images = [[vals[i] for i in _pattern_offsets(p, d, x, y)]
+    images = [[c.table[i] for i in _pattern_offsets(p, d, x, y)]
               for x in range(d) for y in range(d)]
     groups: dict = {}
     for pat in range(2 ** p):
@@ -502,7 +485,6 @@ def is_b_bounded(t: BoolFunction, p: int, sim: BlockEquivalence) -> bool:
     if sim.p != p:
         raise FunctionError("equivalence is over the wrong block width")
     d = t.domain_size
-    entries = _digits(t)
     swaps = [(min(blk), other) for blk in sim.blocks for other in blk
              if other != min(blk)]
     width = 2 ** p
@@ -511,7 +493,7 @@ def is_b_bounded(t: BoolFunction, p: int, sim: BlockEquivalence) -> bool:
             in_block = _pattern_offsets(p, d, x, y)
             at = [[o * d ** (p * (p - 1 - pos)) for o in in_block] for pos in range(p)]
             for pos in range(p):
-                table = _gather(entries, at[:pos] + at[pos + 1:] + [at[pos]])
+                table = _gather(t.table, at[:pos] + at[pos + 1:] + [at[pos]])
                 if any(table[a::width] != table[b::width] for a, b in swaps):
                     return False
     return True
@@ -552,7 +534,7 @@ def _doubly_cyclic_orbits(p: int):
 
 def enumerate_doubly_cyclic_polymorphisms(t: Template, p: int) -> List[BoolFunction]:
     """All doubly cyclic p*p-ary Boolean polymorphisms of t, in increasing
-    table order.
+    table order (see enumerate_polymorphisms).
 
     Works over input orbits of the block-rotation group, so it stays feasible
     at p = 3 where the raw table space (2**512) is far out of reach.
@@ -567,6 +549,11 @@ def enumerate_doubly_cyclic_polymorphisms(t: Template, p: int) -> List[BoolFunct
 # ---------------------------------------------------------------------------
 # truth-table files
 # ---------------------------------------------------------------------------
+
+# entry values 0..9 <-> their ASCII digits, as bytes.translate tables
+_VALUE_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+
 
 def parse_function(text: str) -> BoolFunction:
     """Parse the two-line format: `fn <arity> <domain_size>` then the table."""
@@ -589,5 +576,5 @@ def parse_function(text: str) -> BoolFunction:
 
 
 def format_function(f: BoolFunction) -> str:
-    body = _digits(f).decode("ascii")
+    body = f.table.translate(_VALUE_DIGIT).decode("ascii")
     return f"fn {f.arity} {f.domain_size}\n{body}\n"

@@ -1,9 +1,9 @@
 """Relational structures, symmetric Boolean relations, instances, and homomorphisms.
 
-Symmetric Boolean relations are stored as sets of admissible Hamming weights,
-so membership is O(arity) and large arities stay cheap.  Tuple enumeration is
-generated on demand.  Non-symmetric relations (disequality, user-supplied
-ones) carry an explicit tuple list instead.
+Symmetric Boolean relations, disequality among them, are stored as sets of
+admissible Hamming weights, so membership is O(arity) and large arities stay
+cheap.  Tuple enumeration is generated on demand.  Relations given by their
+tuples (the `explicit` spec) carry that tuple list instead of weights.
 
 Homomorphism search is exact backtracking with arc-consistency pruning and a
 fixed branching order, so witnesses are reproducible.  Template validation
@@ -33,11 +33,11 @@ MAX_ENUM_ARITY = 20
 
 @dataclass(frozen=True)
 class BoolRelation:
-    """A Boolean relation, symmetric ones given by their admissible weights."""
+    """A Boolean relation: its admissible weights, or its explicit tuples
+    (when given, the weights are unused)."""
 
     arity: int
     weights: frozenset
-    symmetric: bool = True
     explicit_tuples: Optional[tuple] = None
     name: str = ""
 
@@ -51,23 +51,24 @@ class BoolRelation:
             for t in self.explicit_tuples:
                 if len(t) != self.arity or any(x not in (0, 1) for x in t):
                     raise StructureError(f"bad explicit tuple {t}")
-            if self.symmetric:
-                # both representations present: they must agree
-                explicit = set(self.explicit_tuples)
-                from_weights = {t for t in _tuples_of_weights(self.arity, self.weights)}
-                if explicit != from_weights:
-                    raise StructureError("explicit tuples disagree with weight set")
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether the relation is given by weights (so closed under
+        permuting coordinates)."""
+        return self.explicit_tuples is None
 
     def contains(self, tup: Sequence[int]) -> bool:
         if len(tup) != self.arity:
             raise StructureError(f"arity mismatch: {len(tup)} vs {self.arity}")
-        if self.symmetric or self.explicit_tuples is None:
+        if self.explicit_tuples is None:
             return sum(tup) in self.weights
         return tuple(tup) in self.explicit_tuples
 
     def tuples(self, max_arity: int = MAX_ENUM_ARITY) -> Iterator[tuple]:
-        """Enumerate member tuples (lexicographic order)."""
-        if self.explicit_tuples is not None and not self.symmetric:
+        """Enumerate member tuples: explicit ones sorted, weight ones by
+        increasing weight."""
+        if not self.symmetric:
             yield from sorted(self.explicit_tuples)
             return
         if self.arity > max_arity:
@@ -75,7 +76,7 @@ class BoolRelation:
         yield from _tuples_of_weights(self.arity, self.weights)
 
     def count_tuples(self) -> int:
-        if self.explicit_tuples is not None and not self.symmetric:
+        if not self.symmetric:
             return len(self.explicit_tuples)
         return sum(comb(self.arity, w) for w in self.weights)
 
@@ -91,7 +92,7 @@ class BoolRelation:
         explicit = None
         if self.explicit_tuples is not None:
             explicit = tuple(sorted(tuple(1 - x for x in t) for t in self.explicit_tuples))
-        return BoolRelation(self.arity, weights, self.symmetric, explicit,
+        return BoolRelation(self.arity, weights, explicit,
                             name=f"swap({self.name})" if self.name else "")
 
     def __str__(self):
@@ -118,8 +119,7 @@ def build_family(kind: str, *args: int) -> BoolRelation:
     if kind == "neq":
         if args:
             raise StructureError("neq takes no parameters")
-        return BoolRelation(2, frozenset([1]), symmetric=True,
-                            explicit_tuples=((0, 1), (1, 0)), name="neq")
+        return BoolRelation(2, frozenset([1]), name="neq")
     if kind in ("exact", "atmost", "atleast"):
         if len(args) != 2:
             raise StructureError(f"{kind} needs (r, s)")
@@ -232,13 +232,9 @@ _BIT_MAPS = (lambda x: x, lambda x: 1 - x, lambda x: 0, lambda x: 1)
 _WEIGHT_MAPS = (lambda k, w: w, lambda k, w: k - w, lambda k, w: 0, lambda k, w: k)
 
 
-def _by_weight(rel: BoolRelation) -> bool:
-    return rel.symmetric or rel.explicit_tuples is None
-
-
 def _full_weights(rel: BoolRelation) -> frozenset:
     """The weights w such that rel holds every tuple of weight w."""
-    if _by_weight(rel):
+    if rel.symmetric:
         return rel.weights
     counts = Counter(sum(t) for t in set(rel.explicit_tuples))
     return frozenset(w for w, c in counts.items() if c == comb(rel.arity, w))
@@ -246,7 +242,7 @@ def _full_weights(rel: BoolRelation) -> frozenset:
 
 def _sends_into(h: int, a: BoolRelation, b: BoolRelation) -> bool:
     """Whether the h-th of the four maps sends every tuple of a into b."""
-    if _by_weight(a):
+    if a.symmetric:
         # each map sends a whole weight layer onto a whole weight layer
         image = {_WEIGHT_MAPS[h](a.arity, w) for w in a.weights}
         return image <= _full_weights(b)
@@ -390,8 +386,7 @@ def _parse_relation_spec(tokens: list, pos: int, lineno: int):
             except ValueError:
                 raise ParseError(lineno, f"bad tuple {part!r}")
         try:
-            rel = BoolRelation(s, frozenset(), symmetric=False,
-                               explicit_tuples=tuple(tups), name=f"explicit {s}")
+            rel = BoolRelation(s, frozenset(), tuple(tups), name=f"explicit {s}")
         except StructureError as e:
             raise ParseError(lineno, str(e))
         return rel, pos + 1 + argc
@@ -457,7 +452,7 @@ def _format_relation(rel: BoolRelation) -> str:
         return "neq"
     if rel.name and not rel.name.startswith("swap("):
         return rel.name
-    if not rel.symmetric and rel.explicit_tuples is not None:
+    if not rel.symmetric:
         body = ";".join(",".join(str(x) for x in t) for t in sorted(rel.explicit_tuples))
         return f"explicit {rel.arity} {body}"
     s, w = rel.arity, set(rel.weights)

@@ -5,9 +5,23 @@ from pathlib import Path
 import pytest
 
 import pcsp
+from pcsp.polymorphisms import BoolFunction
 from pcsp.structures import Instance, Template, build_family
 
 NEQ = build_family("neq")
+
+
+def packed(f: BoolFunction) -> int:
+    """A Boolean table as one int, entry i at bit i.  Ints order tables as
+    the polymorphism enumerators emit them: from the highest entry down."""
+    assert f.domain_size == 2
+    return int(f.table[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+
+
+def unpacked(arity: int, bits: int) -> BoolFunction:
+    """The Boolean function of the given arity whose table packs to bits."""
+    digits = format(bits, f"0{2 ** arity}b")[::-1].encode("ascii")
+    return BoolFunction(arity, digits.translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 def template(*pairs) -> Template:

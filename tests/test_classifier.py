@@ -1,10 +1,13 @@
+import time
+
 import pytest
 
 from pcsp.classifier import (BasicCase, Complexity, Finiteness, SandwichSpec,
-                             UnsupportedTemplateError, catalog_templates,
-                             classification_table, classify, format_verdict,
-                             match_basic, sandwich)
-from pcsp.structures import StructureError, Template, build_family, is_relaxation
+                             UnsupportedTemplateError, _tractable_shape_exists,
+                             catalog_templates, classification_table, classify,
+                             format_verdict, match_basic, sandwich)
+from pcsp.structures import (BoolRelation, StructureError, Template, build_family,
+                             is_relaxation, parse_template)
 from conftest import NEQ, template, with_neq
 
 
@@ -212,3 +215,113 @@ def test_classification_table_shape():
     rows = classification_table(8)
     assert len(rows) == 60
     assert all(isinstance(label, str) for label, _ in rows)
+
+
+# -- closed forms against a scan over r ----------------------------------------
+
+def _swap(ws, s):
+    return {s - w for w in ws}
+
+
+def _scan_match_basic(wa, wb, s, has_neq):
+    """match_basic on the single pair (wa, wb), trying every r."""
+    if s == 2 and wa == wb == {1}:  # a disequality pair, not a shape
+        return None
+    odd = {w for w in range(s + 1) if w % 2 == 1}
+    even = {w for w in range(s + 1) if w % 2 == 0}
+    for mirrored in (False, True):
+        a, b = (_swap(wa, s), _swap(wb, s)) if mirrored else (set(wa), set(wb))
+        if a == b and a in (odd, even):
+            return BasicCase("a", 0, s, mirrored, has_neq)
+        for r in range(1, s // 2 + 1):
+            if a == set(range(r + 1)) and b == set(range(2 * r)):
+                return BasicCase("b", r, s, mirrored, has_neq)
+        for r in range(1, s):
+            if a == {r} and b == set(range(1, s)):
+                return BasicCase("c", r, s, mirrored, has_neq)
+    return None
+
+
+def _scan_shape_exists(shapes):
+    """_tractable_shape_exists on the (wa, wb, s) shapes of the non-disequality
+    pairs, trying every r: one relabel pair (f, g) and one item must cover
+    every shape, each shape by a trivial pair or by some instance of the item."""
+    def items(s):
+        b_shapes = []
+        for r in range(1, s // 2 + 1):
+            b_shapes.append((set(range(r + 1)), set(range(2 * r))))
+            rr = s - r  # the at-least form
+            b_shapes.append((set(range(rr, s + 1)), set(range(2 * rr - s + 1, s + 1))))
+        odd = {w for w in range(s + 1) if w % 2 == 1}
+        even = {w for w in range(s + 1) if w % 2 == 0}
+        return {"a": [(odd, odd), (even, even)], "b": b_shapes,
+                "c": [({r}, set(range(1, s))) for r in range(1, s)]}
+
+    def covered(item, wa, wb, s, f_swap, g_swap):
+        fa = _swap(wa, s) if f_swap else set(wa)
+        if len(wb) == s + 1 or (fa <= {0, s} and (_swap(fa, s) if g_swap else fa) <= wb):
+            return True  # a trivial pair
+        return any(fa <= lo and (_swap(hi, s) if g_swap else hi) <= wb
+                   for lo, hi in items(s)[item])
+
+    return any(all(covered(item, *sh, f_swap, g_swap) for sh in shapes)
+               for f_swap in (False, True) for g_swap in (False, True)
+               for item in "abc")
+
+
+def _shapes(pairs):
+    return [(a.weights, b.weights, a.arity) for a, b in pairs
+            if not (a.is_neq() and b.is_neq())]
+
+
+def test_closed_forms_agree_with_a_scan_over_r():
+    """match_basic and _tractable_shape_exists read r off the weight sets;
+    on every pair of weight sets at s <= 5, with and without disequality,
+    they agree with scanning every r."""
+    seen, count = set(), 0
+    for s in range(1, 6):
+        subsets = [frozenset(w for w in range(s + 1) if mask >> w & 1)
+                   for mask in range(2 ** (s + 1))]
+        for wa in subsets:
+            for wb in subsets:
+                pair = (BoolRelation(s, wa), BoolRelation(s, wb))
+                for has_neq in (False, True):
+                    t = Template((pair, (NEQ, NEQ)) if has_neq else (pair,),
+                                 check_promise=False)
+                    case = match_basic(t)
+                    assert case == _scan_match_basic(wa, wb, s, has_neq), (s, wa, wb)
+                    exists = _tractable_shape_exists(t)
+                    assert exists == _scan_shape_exists(_shapes([pair])), (s, wa, wb)
+                    seen.add((case.item if case else None, exists))
+                    count += 1
+    assert count == 10912
+    assert {item for item, _ in seen} == {None, "a", "b", "c"}
+    assert (None, True) in seen and (None, False) in seen
+
+
+def test_shape_search_agrees_with_a_scan_over_r_on_two_shapes(rng):
+    """With two shapes one relabel pair must cover both, so the at-most and
+    at-least forms of item (b) are no longer each other's mirror image."""
+    outcomes = set()
+    for _ in range(3000):
+        pairs = [(BoolRelation(s, frozenset(w for w in range(s + 1) if rng.random() < 0.5)),
+                  BoolRelation(s, frozenset(w for w in range(s + 1) if rng.random() < 0.7)))
+                 for s in (rng.randint(2, 6), rng.randint(2, 6))]
+        t = Template(tuple(pairs) + ((NEQ, NEQ),), check_promise=False)
+        want = _scan_shape_exists(_shapes(pairs))
+        assert _tractable_shape_exists(t) == want, pairs
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("body", ["pair full 20000 full 20000",
+                                  "pair rin 1 20000 nae 20000",
+                                  "pair rin 1 20000 atmost 1 20000\npair neq neq",
+                                  "pair rin 1 99999 nae 99999"])
+def test_classify_is_linear_in_the_arity(body):
+    """Reading r off the weight sets instead of trying every r: these took
+    from 1 s to over 20 s when each r built its own sets."""
+    t = parse_template(f"template\n{body}\nend\n")
+    start = time.process_time()
+    classify(t)
+    assert time.process_time() - start < 0.5

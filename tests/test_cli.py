@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from pcsp.cli import run
-from pcsp.polymorphisms import format_function, parity_function
+from pcsp.polymorphisms import MAX_TABLE_ENTRIES, format_function, parity_function
 from pcsp.structures import Instance, format_instance, format_template
 from conftest import child_env, template, with_neq
 from pcsp.structures import build_family
@@ -288,7 +288,9 @@ def test_explicit_tuples_are_read_strictly(tmp_path, capsys, tuples):
 
 @pytest.mark.parametrize("header, message", [("fn 999999 3", "arity 999999 above cap 24"),
                                              ("fn -1 2", "arity must be >= 1"),
-                                             ("fn 2 5", "domain size must be between 2 and 4")])
+                                             ("fn 2 5", "domain size must be between 2 and 4"),
+                                             ("fn 14 4", "table of 4**14 entries above cap "
+                                                         "67108864")])
 def test_truth_table_header_is_checked_before_the_table(tmp_path, capsys, header, message):
     """3^999999 used to be formatted into a message (a ValueError traceback),
     and arity -1 asked for 0.5 values."""
@@ -296,6 +298,16 @@ def test_truth_table_header_is_checked_before_the_table(tmp_path, capsys, header
     path.write_text(f"{header}\n0\n", encoding="utf-8")
     err = _usage_error(["poly", str(path), "--cyclic"], capsys)
     assert err == f"error: {path}: {message}\n"
+
+
+def test_compose_eq1_refuses_a_table_above_the_entry_cap(tmp_path, capsys):
+    """4^16 entries used to be gathered until a MemoryError; the composed
+    shape is now checked first.  3^16 entries stay under the cap."""
+    path = tmp_path / "c.tt"
+    path.write_text("fn 4 4\n" + "0123" * 64 + "\n", encoding="utf-8")
+    err = _usage_error(["poly", str(path), "--compose-eq1", "4"], capsys)
+    assert err == "error: table of 4**16 entries above cap 67108864\n"
+    assert 3 ** 16 <= MAX_TABLE_ENTRIES < 4 ** 16
 
 
 def test_poly_without_a_template_is_refused(tmp_path, capsys):

@@ -10,10 +10,11 @@ run takes more than OP_BUDGET_S of CPU time.
 
 Template and instance mutations keep numbers short (edits insert one
 character at a time, and replacement tokens are small), because neither
-format has a size cap yet: a template arity of 10^5 keeps `classify` busy
-for more than 20 s.  The truth-table header is capped (arity at most
-MAX_ARITY), so its replacement tokens include huge numbers.  The seed is
-fixed, so a failure names a case that reproduces.
+format has a size cap yet: `classify` on a template of arity 10^6 builds
+weight sets of 10^6 entries (`full 999999` takes 0.8 s and over 400 MB).
+The truth-table header is capped (arity at most MAX_ARITY, entries at most
+MAX_TABLE_ENTRIES), so its replacement tokens include huge numbers.  The
+seed is fixed, so a failure names a case that reproduces.
 """
 
 import contextlib

@@ -14,7 +14,7 @@ from pcsp.polymorphisms import (BlockEquivalence, BoolFunction, FunctionError,
                                 projection, satisfies_h1, sigma_transform,
                                 unpack_index)
 from pcsp.structures import BoolRelation, build_family
-from conftest import NEQ, template, with_neq
+from conftest import NEQ, packed, template, unpacked, with_neq
 
 
 def random_function(rng, arity, domain_size=2):
@@ -159,23 +159,23 @@ def test_polymorphism_closed_under_minors(rng):
 
 def test_enumerate_unary_neq():
     t = template((NEQ, NEQ))
-    tables = [f.table for f in enumerate_polymorphisms(t, 1)]
+    tables = [packed(f) for f in enumerate_polymorphisms(t, 1)]
     # identity has table 0b10, negation 0b01
     assert tables == [1, 2]
 
 
 def test_enumerate_unary_one_in_three():
     t = template((build_family("exact", 1, 3), build_family("nae", 3)))
-    tables = [f.table for f in enumerate_polymorphisms(t, 1)]
+    tables = [packed(f) for f in enumerate_polymorphisms(t, 1)]
     naive = [tab for tab in range(4)
-             if is_polymorphism(BoolFunction(1, tab), t)]
+             if is_polymorphism(unpacked(1, tab), t)]
     assert tables == naive == [1, 2]
 
 
 def test_enumerate_ternary_matches_exhaustive():
     t = template((build_family("exact", 1, 3), build_family("nae", 3)))
-    fast = [f.table for f in enumerate_polymorphisms(t, 3)]
-    naive = [tab for tab in range(256) if is_polymorphism(BoolFunction(3, tab), t)]
+    fast = [packed(f) for f in enumerate_polymorphisms(t, 3)]
+    naive = [tab for tab in range(256) if is_polymorphism(unpacked(3, tab), t)]
     assert fast == naive
     assert len(fast) == 36  # frozen count, stable across runs
 
@@ -377,24 +377,23 @@ def test_doubly_cyclic_enumeration_at_p3_is_empty():
 def test_doubly_cyclic_enumeration_matches_a_scan_at_p2():
     """The orbit search against a scan of all 2**16 tables through the
     minor-based identity check, results in the same order."""
-    doubly = [f for f in (BoolFunction(4, tab) for tab in range(2 ** 16))
+    doubly = [f for f in (unpacked(4, tab) for tab in range(2 ** 16))
               if is_doubly_cyclic(f, 2)]
-    explicit = BoolRelation(2, frozenset(), symmetric=False,
-                            explicit_tuples=((0, 1), (1, 1)))
+    explicit = BoolRelation(2, frozenset(), explicit_tuples=((0, 1), (1, 1)))
     cases = [(template((build_family("exact", 1, 3), build_family("nae", 3))), 2),
              (template((build_family("atmost", 1, 2), build_family("atmost", 1, 2))), 4),
              (template((explicit, build_family("full", 2))), 64)]
     for t, count in cases:
-        want = [f.table for f in doubly if is_polymorphism(f, t)]
+        want = [packed(f) for f in doubly if is_polymorphism(f, t)]
         assert len(want) == count
-        assert [f.table for f in enumerate_doubly_cyclic_polymorphisms(t, 2)] == want
+        assert [packed(f) for f in enumerate_doubly_cyclic_polymorphisms(t, 2)] == want
 
 
 def test_doubly_cyclic_enumeration_of_neq_at_p3():
     t = template((NEQ, NEQ))
     found = enumerate_doubly_cyclic_polymorphisms(t, 3)
     assert len(found) == 4096
-    tables = [f.table for f in found]
+    tables = [packed(f) for f in found]
     assert tables == sorted(set(tables))
     assert all(is_doubly_cyclic(f, 3) for f in found)
     assert is_polymorphism(found[0], t) and is_polymorphism(found[-1], t)
@@ -425,23 +424,33 @@ def test_parse_function_messages():
 
 
 def test_make_function_boolean_values():
-    assert make_function(2, [0, 1, 1, 0]).table == 0b0110
-    assert make_function(1, [False, True]).table == 0b10
-    for vals, message in (([0, 2], "bad Boolean value 2"),
-                          ([0, "1"], "bad Boolean value '1'"),
-                          ([-1, 0], "bad Boolean value -1")):
+    assert packed(make_function(2, [0, 1, 1, 0])) == 0b0110
+    assert packed(make_function(1, [False, True])) == 0b10
+    for vals, d, message in (([0, 2], 2, "bad Boolean value 2"),
+                             ([0, "1"], 2, "bad Boolean value '1'"),
+                             ([-1, 0], 2, "bad Boolean value -1"),
+                             ([1.0, 0], 2, "bad Boolean value 1.0"),
+                             ([-1, 0, 1], 3, "table entry outside the domain"),
+                             (["1", 0, 1], 3, "table entry outside the domain"),
+                             ([0, 1, 2, 4], 4, "table entry outside the domain"),
+                             ([0, 1, 256], 3, "table entry outside the domain")):
         with pytest.raises(FunctionError) as err:
-            make_function(1, vals)
+            make_function(1, vals, d)
         assert str(err.value) == message
-    assert list(BoolFunction(2, 0b0110).values()) == [0, 1, 1, 0]
+    assert list(unpacked(2, 0b0110).values()) == [0, 1, 1, 0]
+    # one form at every domain size: bytes, entry 0 first
+    for d in (2, 3, 4):
+        assert make_function(1, range(d), d).table == bytes(range(d))
+    with pytest.raises(FunctionError):
+        BoolFunction(2, 0b0110)
 
 
 def test_format_function_pads_boolean_tables():
-    assert format_function(BoolFunction(1, 0)) == "fn 1 2\n00\n"
-    assert format_function(BoolFunction(1, 0b10)) == "fn 1 2\n01\n"
-    assert format_function(BoolFunction(1, 0b01)) == "fn 1 2\n10\n"
-    assert format_function(BoolFunction(3, 0b1)) == "fn 3 2\n10000000\n"
-    assert format_function(BoolFunction(4, 0)) == "fn 4 2\n" + "0" * 16 + "\n"
+    assert format_function(unpacked(1, 0)) == "fn 1 2\n00\n"
+    assert format_function(unpacked(1, 0b10)) == "fn 1 2\n01\n"
+    assert format_function(unpacked(1, 0b01)) == "fn 1 2\n10\n"
+    assert format_function(unpacked(3, 0b1)) == "fn 3 2\n10000000\n"
+    assert format_function(unpacked(4, 0)) == "fn 4 2\n" + "0" * 16 + "\n"
     for d in (2, 3):
         for n in range(1, 9 if d == 2 else 5):
             for v in range(d):
@@ -455,7 +464,7 @@ def test_format_function_pads_boolean_tables():
 def test_enumerate_searches_deeper_than_the_recursion_limit():
     t = template((NEQ, NEQ))
     first = next(enumerate_polymorphisms(t, 10))  # 1024 entries deep
-    assert first.table == 2 ** 512 - 1  # the negated first argument
+    assert packed(first) == 2 ** 512 - 1  # the negated first argument
     assert is_polymorphism(first, t)
 
 
