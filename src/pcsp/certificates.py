@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .solvers import InternalCheckError
 from .structures import BoolRelation, Template, build_family
 
 
@@ -786,11 +787,11 @@ def _twin_available(ks, ctx: ProofContext) -> bool:
 
 def gen_stepone_chain(ctx: ProofContext) -> List[Node]:
     """The 1-D tameness chain: case-specific plausible tuples plus negation
-    steps, every node locally checked at emission.
+    steps, as the generator emits them, unchecked.
 
-    These are the plausible1d and negation nodes that `propagate` reads.
-    Their refs may name the closure lemmas emitted between them, which the
-    chain leaves out: `propagate` reads only the justifications."""
+    These are the nodes that `propagate` re-derives on its own.  Their refs
+    may name the closure lemmas emitted between them, which the chain leaves
+    out: `propagate` reads only the justifications."""
     return _CertBuilder(ctx).stepone_chain()
 
 
@@ -1077,9 +1078,10 @@ def _pigeonhole_interval(ctx: ProofContext) -> range:
 
 
 class _CertBuilder:
-    """Emits nodes, each checked at emission, and keeps the parity facts
-    their claims establish as a forest: every linked term points at its
-    parent through the node whose claim relates the two.
+    """Emits nodes and keeps the parity facts their claims establish as a
+    forest: every linked term points at its parent through the node whose
+    claim relates the two.  No node is checked here: `gen_certificate`
+    re-derives each one once, in its final `verify_certificate`.
 
     Closure lemmas keep the forest flat: a term whose tree path to its root
     spans several facts gets one closure node stating its relation to the
@@ -1090,7 +1092,6 @@ class _CertBuilder:
     def __init__(self, ctx: ProofContext):
         self.ctx = ctx
         self.nodes: List[Node] = []
-        self.facts: Dict[int, list] = {}  # node id -> its claim's edges
         # term -> None for a root, else (parent, parity to it, node id)
         self.up: Dict[tuple, Optional[Tuple[tuple, int, int]]] = {}
         self.forced_ids: Dict[int, int] = {}
@@ -1158,14 +1159,8 @@ class _CertBuilder:
 
     def emit(self, claim: dict, justify: dict, refs) -> int:
         node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
-        reason = _check_node(node, self.ctx, self.ctx.q_weights, self.facts,
-                             self.ctx.has_neq)
-        if reason is not None:
-            raise GenerationError(f"generated node failed its own check: {reason} "
-                                  f"({claim} / {justify})")
         self.nodes.append(node)
-        self.facts[node.id] = _claim_edges(claim, self.ctx)
-        for x, y, parity in self.facts[node.id]:
+        for x, y, parity in _claim_edges(claim, self.ctx):
             self._link(x, y, parity, node.id)
         return node.id
 
@@ -1249,11 +1244,7 @@ class _CertBuilder:
                           [(u(a + i), u(a)), (u(above), u(a))])
 
     def build_chain(self):
-        chain = self.stepone_chain()
-        res = propagate(chain, BoolRelation(self.ctx.s, self.ctx.q_weights), self.ctx)
-        if not res.matches_tame_pattern(self.ctx):
-            raise GenerationError(f"chain propagation failed: {res.status} "
-                                  f"missing={res.missing}")
+        self.stepone_chain()
         for node in self.nodes:
             if node.claim == claim_absolute(0, 0):
                 self.abs_zero_id = node.id
@@ -1371,6 +1362,9 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
     contradicts boundedness.  Failures (an interval with too few integers, a
     rectangle the base chain cannot reach, completion running out of range)
     raise GenerationError: the parameters, usually p, are too small.
+
+    The final `verify_certificate`, the checker `pcsp verify` runs, is the
+    one self-check; a failure raises InternalCheckError naming the node.
     """
     cb = _CertBuilder(ctx)
     cb.build_chain()
@@ -1404,8 +1398,13 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
         cert = Certificate(ctx, tuple(cb.nodes), "contradiction")
     check = verify_certificate(cert, ctx.canonical_template())
     if not check.ok:
-        raise GenerationError(f"internal: generated certificate fails its own "
-                              f"verification at node {check.failed_node}: {check.reason}")
+        where = "the conclusion"
+        if check.failed_node is not None:
+            node = cert.nodes[check.failed_node]
+            where = (f"node {node.id} (claim {node.claim}, "
+                     f"justification {node.justify.get('tag')!r})")
+        raise InternalCheckError(f"generated certificate fails its own "
+                                 f"verification at {where}: {check.reason}")
     return cert
 
 

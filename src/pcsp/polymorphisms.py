@@ -71,18 +71,11 @@ class BoolFunction:
         if self.table.translate(None, bytes(range(self.domain_size))):
             raise FunctionError("table entry outside the domain")
 
-    @property
-    def size(self) -> int:
-        return self.domain_size ** self.arity
-
     def value_at(self, index: int) -> int:
         return self.table[index]
 
     def __call__(self, args) -> int:
         return self.value_at(pack_args(args, self.domain_size))
-
-    def values(self) -> Iterator[int]:
-        return iter(self.table)
 
 
 def pack_args(args, domain_size: int = 2) -> int:

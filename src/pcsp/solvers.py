@@ -34,7 +34,7 @@ from .structures import BoolRelation, Instance, StructureError, Template, check_
 
 
 class InternalCheckError(RuntimeError):
-    """A backend produced a witness that fails its own re-check."""
+    """A backend produced a witness or certificate that fails its own re-check."""
 
 
 # ---------------------------------------------------------------------------

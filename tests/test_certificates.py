@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pcsp import certificates
 from pcsp.certificates import (Certificate, CertificateError, EvalTuple,
                                GenerationError, ProofContext,
                                StaggerParams, area,
@@ -16,6 +18,8 @@ from pcsp.certificates import (Certificate, CertificateError, EvalTuple,
                                gen_certificate, gen_stepone_chain, halve,
                                is_plausible_1d, is_plausible_2d, near_threshold,
                                propagate, verify_certificate)
+from pcsp.cli import run
+from pcsp.solvers import InternalCheckError
 from pcsp.structures import build_family
 from conftest import template
 
@@ -370,6 +374,60 @@ def test_path_refs_certificate_still_verifies():
 def test_generation_reports_small_p():
     with pytest.raises(GenerationError):
         gen_certificate(ProofContext(1, 3, "4a", 7, 1))
+
+
+# -- the one self-check ----------------------------------------------------------
+
+# one context per README case; the 4a one has b = 1, so it also carries
+# halving, completion and boundedness nodes
+ONE_PER_CASE = [(2, 5, "1", 11, 0), (2, 4, "2", 13, 0), (2, 4, "3", 17, 0),
+                (1, 3, "4a", 13, 1), (2, 5, "4b", 11, 0)]
+
+
+@pytest.mark.parametrize("args", ONE_PER_CASE)
+def test_generation_checks_each_node_once(monkeypatch, args):
+    """The final verify_certificate is the only check generation runs: one
+    _check_node call per node, in order, and no propagation pass."""
+    checked, propagated = [], []
+    check_node = certificates._check_node
+    monkeypatch.setattr(certificates, "_check_node",
+                        lambda node, *rest: checked.append(node.id) or check_node(node, *rest))
+    monkeypatch.setattr(certificates, "propagate", lambda *a: propagated.append(a))
+    cert = gen_certificate(ProofContext(*args))
+    assert checked == list(range(len(cert.nodes)))
+    assert propagated == []
+
+
+@pytest.fixture
+def first_distinct_claim_broken(monkeypatch):
+    """Generation writes `equal` where its first case-4a chain node claims
+    `distinct`, so that node is unsound."""
+    calls = []
+    distinct = certificates.claim_distinct
+
+    def broken(x, y):
+        calls.append((x, y))
+        return (certificates.claim_equal if len(calls) == 1 else distinct)(x, y)
+
+    monkeypatch.setattr(certificates, "claim_distinct", broken)
+
+
+def test_failed_self_check_exits_3(first_distinct_claim_broken, capsys):
+    capsys.readouterr()
+    out = io.StringIO()
+    code = run(["certify", "-r", "1", "-s", "3", "--case", "4a", "-p", "7", "-b", "0"], out)
+    err = capsys.readouterr().err.splitlines()
+    assert (code, out.getvalue()) == (3, "")
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    # the node's index, its claim and its justification tag
+    assert "at node 0 (claim {'kind': 'equal', 'a': {'sigma': 16}, 'b': {'sigma': 17}}, " \
+           "justification 'plausible1d')" in err[0], err[0]
+
+
+def test_failed_self_check_is_not_a_small_p(first_distinct_claim_broken):
+    """find_minimal_p skips a p that is too small, but not a generator bug."""
+    with pytest.raises(InternalCheckError, match="at node 0 "):
+        find_minimal_p(1, 3, "4a", 0)
 
 
 def test_complement_blocks():

@@ -1,5 +1,5 @@
-"""Byte-identity guard: stdout of the truth-table commands and of the catalog
-table, pinned by SHA-256.
+"""Byte-identity guard: stdout of the truth-table commands, of the catalog
+table and of certificate generation, pinned by SHA-256.
 
 The inputs are written as text straight from a seeded generator, so they do
 not depend on the formatter under test.  A changed hash means some command
@@ -102,3 +102,27 @@ def test_table_stdout_is_pinned():
     assert run(["table", "--max-s", "12"], out) == 0
     assert _sha(out.getvalue()) == \
         "ce1e78fcf462cd37149aaefa4679fe635220dd6d6f3b8570392aba528b2e28a8"
+
+
+# (r, s, case, p, b): README minimal-p cases at b = 1 and small b = 0 chains
+CERTIFY_SHA = {
+    (1, 3, "4a", 13, 1): "ba9f73ef880a9ddc960a1f9ec573f04a3760ab892d895fbb7c12f1c16d8b4a8d",
+    (2, 4, "4a", 29, 1): "88343a261f118fe660c0ba214ec855a542fe43b31b78538937df5d8255f7a894",
+    (2, 4, "2", 29, 1): "c263946cb55dfc8703fdf141f19094a5a53acf2b8543956f2b169b319293cce9",
+    (2, 5, "1", 31, 1): "12195839214e0e2e8d2a727c86708c8c4584622cd40ed425614e44c0b6103de1",
+    (1, 3, "4a", 19, 1): "d35d9e3df10e2fc93bf27bdc06bceb4e71b5de6570c4084775f9bc17bf66f8af",
+    (1, 3, "4a", 7, 0): "5272537243902785f5750785026644557f4406e15b4ab01e026b1100a3aa3027",
+    (2, 4, "4a", 17, 0): "2d0724e05fde45c23f221bd3418b5638ef52bceb95ad0909914f854fbdbb38b2",
+    (2, 4, "3", 17, 0): "afcad16fd9b7328c14a07bd34c8d75b82a68b463bf22fe3d327737d7baa05eee",
+    (2, 5, "4b", 11, 0): "c4f0b4f003548505158652b97b35b45660f8bc560d1daca1aff649fe914198e6",
+    (2, 4, "2", 13, 0): "711564dac01c10887a9646a9d7844a4a5f672648cb1613b9c9bdd653c8d884fe",
+    (2, 5, "1", 11, 0): "5237b42c309462df3cfb3c16382eb7ae2bb4307a62359484538c7a5040d23e20",
+}
+
+
+@pytest.mark.parametrize("r, s, case, p, b", sorted(CERTIFY_SHA))
+def test_certify_stdout_is_pinned(r, s, case, p, b):
+    out = io.StringIO()
+    argv = ["certify", "-r", str(r), "-s", str(s), "--case", case, "-p", str(p), "-b", str(b)]
+    assert run(argv, out) == 0
+    assert _sha(out.getvalue()) == CERTIFY_SHA[r, s, case, p, b]

@@ -87,14 +87,14 @@ def test_minor_matches_definition(rng):
             kinds.add((used < m, used < n))  # (identifies variables, has dummies)
             g = minor(f, pi)
             assert (g.arity, g.domain_size) == (n, d)
-            assert [g.value_at(i) for i in range(g.size)] == _minor_by_definition(f, pi)
+            assert [g.value_at(i) for i in range(len(g.table))] == _minor_by_definition(f, pi)
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
     # tables large enough that the gather reads them through several views
     for d, m, n in ((2, 11, 10), (2, 9, 10), (3, 7, 6), (4, 5, 5)):
         f = random_function(rng, m, d)
         pi = MinorMap(m, n, tuple(rng.randrange(n) for _ in range(m)))
         g = minor(f, pi)
-        assert [g.value_at(i) for i in range(g.size)] == _minor_by_definition(f, pi)
+        assert [g.value_at(i) for i in range(len(g.table))] == _minor_by_definition(f, pi)
 
 
 def test_minor_arity_mismatch():
@@ -218,7 +218,7 @@ def test_compose_eq1_matches_definition(rng):
             c = random_function(rng, p, d)
             t = compose_eq1(c, p)
             assert (t.arity, t.domain_size) == (p * p, d)
-            assert [t.value_at(i) for i in range(t.size)] == _compose_by_definition(c, p)
+            assert [t.value_at(i) for i in range(len(t.table))] == _compose_by_definition(c, p)
 
 
 def test_compose_eq1_arity_check():
@@ -326,7 +326,7 @@ def test_b_bounded_rejects_one_flipped_entry(rng):
         pairs = [(a, b) for blk in sim.blocks for a in blk for b in blk
                  if a != b and not {full ^ a, full ^ b} & {a, b}]
         assert pairs  # a cyclic c puts the rotations 1, 2, 4 in one block
-        values = [t.value_at(i) for i in range(t.size)]
+        values = [t.value_at(i) for i in range(len(t.table))]
         for pos in range(p):
             for x in range(d):
                 for y in range(d):
@@ -437,7 +437,7 @@ def test_make_function_boolean_values():
         with pytest.raises(FunctionError) as err:
             make_function(1, vals, d)
         assert str(err.value) == message
-    assert list(unpacked(2, 0b0110).values()) == [0, 1, 1, 0]
+    assert list(unpacked(2, 0b0110).table) == [0, 1, 1, 0]
     # one form at every domain size: bytes, entry 0 first
     for d in (2, 3, 4):
         assert make_function(1, range(d), d).table == bytes(range(d))
