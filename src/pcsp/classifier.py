@@ -59,8 +59,10 @@ class BasicCase:
 class SandwichSpec:
     """Which backend decides the template, with the recognized parameters.
 
-    polarity records whether recognition used the 0/1 swap; the instance
-    translation reads relation weights directly, so it is advisory.
+    polarity records whether recognition used the 0/1 swap.  The LP recipe
+    solves the swapped template when it is set and swaps the witness back;
+    the GF(2) and integer translations read relation weights directly and
+    ignore it.
     """
 
     solver: str  # "gf2", "lp", or "diophantine"

@@ -11,6 +11,10 @@ The simplex holds each tableau row as sparse integer numerators over one
 positive row denominator (the integer-preserving elimination of Edmonds and
 Bareiss), so it pivots the rational tableau without Fraction arithmetic.
 
+The integer and LP systems hold a row, from translation to solver, as a
+tuple of (column, coefficient) pairs with increasing columns and nonzero
+coefficients, so every pass over the rows costs O(nonzeros).
+
 The promise solver translates instances through the recipe the classifier
 recognized.  Constraints whose variable tuple repeats a variable are routed
 through explicit convex-combination columns in the LP backend, because a
@@ -97,75 +101,92 @@ def solve_gf2(system: GF2System) -> Optional[List[int]]:
 # integers
 # ---------------------------------------------------------------------------
 
+def _check_rows(rows, n_vars: int) -> None:
+    """Raise unless each row is (column, coefficient) pairs with strictly
+    increasing columns in range(n_vars) and nonzero coefficients."""
+    for row in rows:
+        last = -1
+        for j, c in row:
+            if not last < j < n_vars or not c:
+                raise StructureError("row columns must increase in range, coefficients nonzero")
+            last = j
+
+
 @dataclass(frozen=True)
 class IntLinearSystem:
-    """A x = b over the integers, exact unbounded arithmetic."""
+    """A x = b over the integers; each row is (column, coefficient) pairs."""
 
     n_vars: int
-    rows: tuple  # tuple of coefficient tuples
+    rows: tuple
     rhs: tuple
 
     def __post_init__(self):
         if len(self.rows) != len(self.rhs):
             raise StructureError("rows/rhs length mismatch")
-        for row in self.rows:
-            if len(row) != self.n_vars:
-                raise StructureError("row width mismatch")
+        _check_rows(self.rows, self.n_vars)
 
 
 def solve_diophantine(system: IntLinearSystem) -> Optional[List[int]]:
     """Integer feasibility via column reduction to a triangular system.
 
-    Columns of A are stacked over an identity block; unimodular column
+    Columns of A are stacked over an identity block, each a sparse map:
+    row i of A at key i, identity entry k at key m + k.  Unimodular column
     operations (Euclidean reduction within each row) bring A to a lower
     triangular form whose pivot equations are solved by exact division.
     Free columns are zero in every pivot row, so setting their multipliers
     to zero loses no solutions; skipped rows become consistency checks.
     """
     m, n = len(system.rows), system.n_vars
-    work = [[system.rows[i][j] for i in range(m)] +
-            [1 if k == j else 0 for k in range(n)] for j in range(n)]
-    b = list(system.rhs)
+    work = [{m + j: 1} for j in range(n)]
+    for i, row in enumerate(system.rows):
+        for j, c in row:
+            work[j][i] = c
+    b = system.rhs
 
-    pivot_list = []  # (row, column position)
-    col_idx = 0
+    pivot_rows = []  # the pivot row of column position p, for p = 0, 1, ...
     for row in range(m):
-        if col_idx >= n:
+        p = len(pivot_rows)
+        if p >= n:
             break
-        active = [j for j in range(col_idx, n) if work[j][row] != 0]
+        active = [j for j in range(p, n) if row in work[j]]
         while len(active) > 1:
             jstar = min(active, key=lambda j: (abs(work[j][row]), j))
-            pivot_val = work[jstar][row]
+            pcol = work[jstar]
             for j in active:
-                if j == jstar:
+                col = work[j]
+                q = col[row] // pcol[row]
+                if j == jstar or not q:
                     continue
-                q = work[j][row] // pivot_val
-                if q:
-                    work[j] = [work[j][k] - q * work[jstar][k] for k in range(m + n)]
-            active = [j for j in active if work[j][row] != 0]
+                for k, v in pcol.items():
+                    col[k] = col.get(k, 0) - q * v
+                    if not col[k]:
+                        del col[k]
+            active = [j for j in active if row in work[j]]
         if not active:
             continue
         j = active[0]
-        work[col_idx], work[j] = work[j], work[col_idx]
-        if work[col_idx][row] < 0:
-            work[col_idx] = [-v for v in work[col_idx]]
-        pivot_list.append((row, col_idx))
-        col_idx += 1
+        work[p], work[j] = work[j], work[p]
+        if work[p][row] < 0:
+            work[p] = {k: -v for k, v in work[p].items()}
+        pivot_rows.append(row)
 
-    y = [0] * n
-    for row, j in pivot_list:
-        acc = b[row] - sum(work[k][row] * y[k] for _, k in pivot_list if k < j)
+    y = []  # the multipliers of the pivot columns; every other one is zero
+    for j, row in enumerate(pivot_rows):
+        acc = b[row] - sum(work[k].get(row, 0) * y[k] for k in range(j))
         piv = work[j][row]
         if acc % piv != 0:
             return None
-        y[j] = acc // piv
+        y.append(acc // piv)
+    total = {}
+    for j, yj in enumerate(y):
+        for k, v in work[j].items():
+            total[k] = total.get(k, 0) + v * yj
     # consistency of the skipped rows (and a full re-check of pivot rows)
-    for i in range(m):
-        if sum(work[j][i] * y[j] for j in range(n)) != b[i]:
-            return None
-    x = [sum(work[j][m + k] * y[j] for j in range(n)) for k in range(n)]
-    for i in range(m):
-        if sum(system.rows[i][k] * x[k] for k in range(n)) != b[i]:
+    if any(total.get(i, 0) != b[i] for i in range(m)):
+        return None
+    x = [total.get(m + k, 0) for k in range(n)]
+    for row, bi in zip(system.rows, b):
+        if sum(c * x[k] for k, c in row) != bi:
             raise InternalCheckError("integer solution fails re-check")
     return x
 
@@ -176,16 +197,15 @@ def solve_diophantine(system: IntLinearSystem) -> Optional[List[int]]:
 
 @dataclass(frozen=True)
 class RationalInequalitySystem:
-    """Rows (coeffs, sense, rhs) with sense in {'<=', '>=', '='} over the
-    unit box 0 <= x <= 1; coefficients are exact rationals."""
+    """Rows (terms, sense, rhs) over the unit box 0 <= x <= 1: terms are
+    (column, exact rational) pairs, and sense is '<=', '>=' or '='."""
 
     n_vars: int
     rows: tuple
 
     def __post_init__(self):
-        for coeffs, sense, _ in self.rows:
-            if len(coeffs) != self.n_vars:
-                raise StructureError("row width mismatch")
+        _check_rows((terms for terms, _, _ in self.rows), self.n_vars)
+        for _, sense, _ in self.rows:
             if sense not in ("<=", ">=", "="):
                 raise StructureError(f"bad sense {sense!r}")
 
@@ -250,8 +270,8 @@ def _phase_one(system: RationalInequalitySystem):
     ncols = n + sum(1 for _, sense, _ in system.rows if sense != "=")
     rows, dens, basis, art_rows = [], [], [], []
     slack, total = n, ncols
-    for i, (coeffs, sense, rhs) in enumerate(system.rows):
-        terms = {j: c for j, c in enumerate(coeffs) if c}
+    for i, (terms, sense, rhs) in enumerate(system.rows):
+        terms = dict(terms)
         rhs = Fraction(rhs)
         den = lcm(rhs.denominator, *(c.denominator for c in terms.values()))
         sign = -1 if rhs < 0 else 1
@@ -345,8 +365,8 @@ def _check_point(system: RationalInequalitySystem, x, what: str) -> None:
     unit box, with x scaled to integers by the lcm d of its denominators."""
     d = lcm(*(xi.denominator for xi in x))
     xd = [xi.numerator * (d // xi.denominator) for xi in x]
-    for coeffs, sense, rhs in system.rows:
-        if not _holds(sum(c * xd[j] for j, c in enumerate(coeffs) if c), sense, rhs * d):
+    for terms, sense, rhs in system.rows:
+        if not _holds(sum(c * xd[j] for j, c in terms), sense, rhs * d):
             raise InternalCheckError(f"{what} fails re-check")
     for xi in x:
         if not (0 <= xi <= 1):
@@ -428,16 +448,13 @@ def _dio_translate(t: Template, inst: Instance) -> IntLinearSystem:
     rows, rhs = [], []
     for ri, tup in inst.constraints:
         a, _ = t.pairs[ri]
-        coeffs = [0] * inst.var_count
-        for v in tup:
-            coeffs[v] += 1
         if a.is_neq():
             target = 1
         elif len(a.weights) == 1:
             (target,) = a.weights
         else:
             raise UnsupportedTemplateError("integer backend needs exact-weight relations")
-        rows.append(tuple(coeffs))
+        rows.append(tuple(_collapse(tup)))
         rhs.append(target)
     return IntLinearSystem(inst.var_count, tuple(rows), tuple(rhs))
 
@@ -456,56 +473,39 @@ def _weight_sense(a: BoolRelation):
 
 
 def _lp_translate(t: Template, inst: Instance) -> RationalInequalitySystem:
-    nx = inst.var_count
-    rows = []
-    extra_cols = []  # (point vectors, distinct vars) per repeated constraint
+    """Weight rows in constraint order, then each repeated constraint's
+    convex-combination rows, over columns numbered as they are met."""
+    rows, conv_rows = [], []
+    total = inst.var_count
     for ri, tup in inst.constraints:
         a, _ = t.pairs[ri]
         groups = _collapse(tup)
         if len(groups) == len(tup):
             sense, bound = _weight_sense(a)
-            coeffs = [0] * nx
-            for v in tup:
-                coeffs[v] += 1
-            rows.append((coeffs, sense, bound))
-        else:
-            # repetition: the single weight row is not exact, so model the
-            # constraint as a convex combination of its projected points
-            variables = [v for v, _ in groups]
-            mults = [mlt for _, mlt in groups]
-            points = []
-            for bits in product((0, 1), repeat=len(variables)):
-                expanded = {v: bit for v, bit in zip(variables, bits)}
-                if a.contains(tuple(expanded[v] for v in tup)):
-                    points.append(bits)
-            extra_cols.append((points, variables))
-
-    base = nx
-    total = nx + sum(len(points) for points, _ in extra_cols)
-    wide_rows = [(list(coeffs) + [0] * (total - nx), sense, Fraction(rhs))
-                 for coeffs, sense, rhs in rows]
-    for points, variables in extra_cols:
-        k = len(points)
-        conv = [0] * total
-        for j in range(k):
-            conv[base + j] = 1
-        wide_rows.append((conv, "=", Fraction(1)))
+            rows.append((tuple(groups), sense, Fraction(bound)))
+            continue
+        # repetition: the single weight row is not exact, so model the
+        # constraint as a convex combination of its projected points
+        variables = [v for v, _ in groups]
+        points = []
+        for bits in product((0, 1), repeat=len(variables)):
+            expanded = {v: bit for v, bit in zip(variables, bits)}
+            if a.contains(tuple(expanded[v] for v in tup)):
+                points.append(bits)
+        cols = range(total, total + len(points))
+        conv_rows.append((tuple((j, 1) for j in cols), "=", Fraction(1)))
         for pos, v in enumerate(variables):
-            marg = [0] * total
-            marg[v] = -1
-            for j, bits in enumerate(points):
-                marg[base + j] = bits[pos]
-            wide_rows.append((marg, "=", Fraction(0)))
-        base += k
-    return RationalInequalitySystem(total, tuple((tuple(c), s, r) for c, s, r in wide_rows))
+            marg = ((v, -1),) + tuple((j, 1) for j, bits in zip(cols, points) if bits[pos])
+            conv_rows.append((marg, "=", Fraction(0)))
+        total += len(points)
+    return RationalInequalitySystem(total, tuple(rows + conv_rows))
 
 
-def _check_dio_witness(t: Template, inst: Instance, point: List[int]) -> None:
-    bits = [1 if z >= 1 else 0 for z in point]
+def _check_in_b(t: Template, inst: Instance, bits, what: str) -> None:
+    """Exact re-check that a 0/1 assignment maps every constraint into B."""
     for ri, tup in inst.constraints:
-        _, b = t.pairs[ri]
-        if not b.contains(tuple(bits[v] for v in tup)):
-            raise InternalCheckError("rounded integer witness leaves the B side")
+        if not t.pairs[ri][1].contains(tuple(bits[v] for v in tup)):
+            raise InternalCheckError(f"{what} leaves the B side")
 
 
 def _neq_components(t: Template, inst: Instance):
@@ -558,28 +558,23 @@ def _presolve(system: RationalInequalitySystem, nx: int, comp, color):
     in the unit box.
     """
     k = max(comp, default=-1) + 1
-    width = k + system.n_vars - nx
     rows = []
-    for coeffs, sense, rhs in system.rows:
-        new = [0] * width
-        shift = 0
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
+    for terms, sense, rhs in system.rows:
+        new = {}
+        for j, c in terms:
             if j >= nx:
-                new[k + j - nx] += c
+                j = k + j - nx
             elif color[j]:
-                new[comp[j]] -= c
-                shift += c
+                j, c, rhs = comp[j], -c, rhs - c
             else:
-                new[comp[j]] += c
-        if shift:
-            rhs -= shift
-        if any(new):
-            rows.append((tuple(new), sense, rhs))
+                j = comp[j]
+            new[j] = new.get(j, 0) + c
+        new = tuple(sorted((j, c) for j, c in new.items() if c))
+        if new:
+            rows.append((new, sense, rhs))
         elif not _holds(0, sense, rhs):
             return None
-    return RationalInequalitySystem(width, tuple(rows))
+    return RationalInequalitySystem(k + system.n_vars - nx, tuple(rows))
 
 
 def _lift(point, comp, color) -> List[Fraction]:
@@ -665,10 +660,7 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
             rounded.append(int(side[v] > 0))
         else:
             rounded.append(orientation.get(comp[v], 0) ^ color[v])
-    for ri, tup in inst.constraints:
-        _, b = t_work.pairs[ri]
-        if not b.contains(tuple(rounded[v] for v in tup)):
-            raise InternalCheckError("rounded LP witness leaves the B side")
+    _check_in_b(t_work, inst, rounded, "rounded LP witness")
     if polarity:
         rounded = [1 - v for v in rounded]
     return PromiseAnswer(True, {v: rounded[v] for v in range(inst.var_count)})
@@ -695,12 +687,13 @@ def solve_pcsp(t: Template, inst: Instance) -> PromiseAnswer:
         sol = solve_gf2(_gf2_translate(t, inst))
         if sol is None:
             return PromiseAnswer(False)
+        _check_in_b(t, inst, sol, "GF(2) witness")
         return PromiseAnswer(True, {v: sol[v] for v in range(inst.var_count)})
     if spec.solver == "diophantine":
         sol = solve_diophantine(_dio_translate(t, inst))
         if sol is None:
             return PromiseAnswer(False)
-        _check_dio_witness(t, inst, sol)
+        _check_in_b(t, inst, [int(z >= 1) for z in sol], "rounded integer witness")
         return PromiseAnswer(True, sol)
     return _solve_majority_path(t, inst, spec.polarity)
 

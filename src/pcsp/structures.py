@@ -65,13 +65,13 @@ class BoolRelation:
             return sum(tup) in self.weights
         return tuple(tup) in self.explicit_tuples
 
-    def tuples(self, max_arity: int = MAX_ENUM_ARITY) -> Iterator[tuple]:
+    def tuples(self) -> Iterator[tuple]:
         """Enumerate member tuples: explicit ones sorted, weight ones by
         increasing weight."""
         if not self.symmetric:
             yield from sorted(self.explicit_tuples)
             return
-        if self.arity > max_arity:
+        if self.arity > MAX_ENUM_ARITY:
             raise StructureError(f"refusing to enumerate arity {self.arity} relation")
         yield from _tuples_of_weights(self.arity, self.weights)
 

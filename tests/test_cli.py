@@ -1,9 +1,11 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from pcsp import solvers
 from pcsp.cli import run
 from pcsp.polymorphisms import MAX_TABLE_ENTRIES, format_function, parity_function
 from pcsp.structures import Instance, format_instance, format_template
@@ -67,6 +69,33 @@ def test_solve_unsupported_template(tmp_path):
     ipath = write_instance(tmp_path, "i.inst", Instance(3, ((0, (0, 1, 2)),)))
     code, _ = invoke(["solve", "-t", tpath, "-i", ipath])
     assert code == 2
+
+
+def test_gf2_witness_outside_b_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """A GF(2) solution that leaves the B side fails the witness re-check:
+    exit 3, nothing on stdout, one `error:` line."""
+    monkeypatch.setattr(solvers, "solve_gf2", lambda system: [0] * system.n_vars)
+    tpath = tmp_path / "t.tmpl"
+    tpath.write_text("template\npair odd 3 odd 3\npair neq neq\nend\n", encoding="utf-8")
+    ipath = tmp_path / "i.inst"
+    ipath.write_text("vars 3\nc 0 0 1 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert invoke(["solve", "-t", str(tpath), "-i", str(ipath)]) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("n", [2000, 6000])
+def test_integer_path_cost_does_not_grow_with_unused_variables(tmp_path, n):
+    """Two constraints among thousands of variables: the integer system
+    holds sparse rows, so the answer takes far below a second of CPU time
+    (dense n x (m + n) column reduction took seconds)."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    ipath = write_instance(tmp_path, "i.inst", Instance(n, ((0, (0, 1, 2)), (0, (0, 1, 3)))))
+    start = time.process_time()
+    code, out = invoke(["solve", "-t", tpath, "-i", ipath, "--witness"])
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (0, "YES\n1" + " 0" * (n - 1) + "\n")
 
 
 def test_malformed_template_exit_code(tmp_path):
@@ -204,8 +233,6 @@ def _context_only_certificate(p, b=0, conclusion="tame_base") -> str:
 def test_verify_large_prime_context_is_prompt(tmp_path):
     """p = 2^61 - 1 is prime and 1 mod 3; its primality test used to run by
     trial division for many seconds.  An empty proof is rejected (exit 1)."""
-    import time
-
     tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
     cpath = tmp_path / "c.json"
     cpath.write_text(_context_only_certificate(2 ** 61 - 1), encoding="utf-8")
@@ -255,8 +282,6 @@ def test_loose_context_fields_are_refused(tmp_path, capsys):
 def test_verify_huge_b_is_prompt(tmp_path):
     """The pigeonhole interval is a range, not a list of about 2b integers,
     so a contradiction with b = 10^9 and no nodes is rejected at once."""
-    import time
-
     tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
     cpath = tmp_path / "c.json"
     cpath.write_text(_context_only_certificate(7, 10 ** 9, "contradiction"),

@@ -18,6 +18,19 @@ def B(*args):
     return build_family(*args)
 
 
+def sparse(row) -> tuple:
+    """A dense coefficient row as the solvers' (column, coefficient) pairs."""
+    return tuple((j, c) for j, c in enumerate(row) if c)
+
+
+def int_system(n, rows, rhs) -> IntLinearSystem:
+    return IntLinearSystem(n, tuple(sparse(row) for row in rows), rhs)
+
+
+def lp_system(n, rows) -> RationalInequalitySystem:
+    return RationalInequalitySystem(n, tuple((sparse(c), s, r) for c, s, r in rows))
+
+
 # -- GF(2) ---------------------------------------------------------------------
 
 def test_gf2_inconsistent_triangle():
@@ -49,11 +62,11 @@ def test_gf2_against_exhaustive(rng):
 # -- integers ------------------------------------------------------------------
 
 def test_diophantine_divisibility():
-    assert solve_diophantine(IntLinearSystem(1, ((3,),), (1,))) is None
+    assert solve_diophantine(int_system(1, ((3,),), (1,))) is None
 
 
 def test_diophantine_witness():
-    sys = IntLinearSystem(4, ((1, 1, 1, 0), (1, 1, 0, 1)), (1, 1))
+    sys = int_system(4, ((1, 1, 1, 0), (1, 1, 0, 1)), (1, 1))
     assert solve_diophantine(sys) == [1, 0, 0, 0]
 
 
@@ -68,7 +81,7 @@ def test_diophantine_against_bounded_search(rng):
             rhs = tuple(sum(r * x for r, x in zip(row, x0)) for row in rows)
         else:
             rhs = tuple(rng.randint(-4, 4) for _ in range(m))
-        got = solve_diophantine(IntLinearSystem(n, rows, rhs))
+        got = solve_diophantine(int_system(n, rows, rhs))
         box = any(
             all(sum(r * x for r, x in zip(row, cand)) == b
                 for row, b in zip(rows, rhs))
@@ -81,7 +94,7 @@ def test_diophantine_against_bounded_search(rng):
 
 
 def test_diophantine_big_numbers():
-    sys = IntLinearSystem(2, ((10 ** 20, -1),), (7,))
+    sys = int_system(2, ((10 ** 20, -1),), (7,))
     x = solve_diophantine(sys)
     assert x is not None and 10 ** 20 * x[0] - x[1] == 7
 
@@ -89,7 +102,7 @@ def test_diophantine_big_numbers():
 # -- rational feasibility --------------------------------------------------------
 
 def test_lp_feasible_example():
-    sys = RationalInequalitySystem(
+    sys = lp_system(
         3, (((1, 1, 1), "<=", 1), ((1, 1, 0), "=", 1), ((1, 0, 1), "=", 1)))
     x = solve_lp_feasible(sys)
     assert x is not None
@@ -97,16 +110,29 @@ def test_lp_feasible_example():
 
 
 def test_lp_infeasible_example():
-    sys = RationalInequalitySystem(2, (((1, 1), "<=", 0), ((1, 1), "=", 1)))
+    sys = lp_system(2, (((1, 1), "<=", 0), ((1, 1), "=", 1)))
     assert solve_lp_feasible(sys) is None
 
 
-def _vertex_oracle(sys: RationalInequalitySystem) -> bool:
-    """Feasibility by enumerating candidate vertices of the system in the
-    unit box."""
-    n = sys.n_vars
+@pytest.mark.parametrize("row", [((1, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (3, 1)),
+                                 ((-1, 1),), ((0, 1), (1, 0))],
+                         ids=["unsorted", "duplicate", "out of range", "negative", "zero"])
+def test_malformed_sparse_rows_are_refused(row):
+    """Both systems take only (column, coefficient) pairs with strictly
+    increasing columns in range and nonzero coefficients."""
+    with pytest.raises(StructureError):
+        IntLinearSystem(3, (row,), (1,))
+    with pytest.raises(StructureError):
+        RationalInequalitySystem(3, ((row, "=", 1),))
+    IntLinearSystem(3, (((0, 1), (2, -1)), ()), (1, 0))
+    RationalInequalitySystem(3, ((((0, 1), (2, Fraction(1, 2))), "<=", 1),))
+
+
+def _vertex_oracle(n: int, rows) -> bool:
+    """Feasibility by enumerating candidate vertices of the system of dense
+    rows in the unit box."""
     planes = []
-    for coeffs, sense, rhs in sys.rows:
+    for coeffs, sense, rhs in rows:
         planes.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs)))
     for i in range(n):
         unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
@@ -114,7 +140,7 @@ def _vertex_oracle(sys: RationalInequalitySystem) -> bool:
         planes.append((unit, Fraction(1)))
 
     def satisfies(x):
-        for coeffs, sense, rhs in sys.rows:
+        for coeffs, sense, rhs in rows:
             val = sum(Fraction(c) * xi for c, xi in zip(coeffs, x))
             if sense == "<=" and val > rhs:
                 return False
@@ -159,13 +185,13 @@ def test_lp_against_vertex_enumeration(rng):
             sense = rng.choice(["<=", ">=", "="])
             rhs = Fraction(rng.randint(-2, 4), rng.randint(1, 3))
             rows.append((coeffs, sense, rhs))
-        sys = RationalInequalitySystem(n, tuple(rows))
-        assert (solve_lp_feasible(sys) is not None) == _vertex_oracle(sys)
+        sys = lp_system(n, rows)
+        assert (solve_lp_feasible(sys) is not None) == _vertex_oracle(n, rows)
 
 
 def _assert_in_system(sys: RationalInequalitySystem, x) -> None:
-    for coeffs, sense, rhs in sys.rows:
-        val = sum(c * xi for c, xi in zip(coeffs, x))
+    for terms, sense, rhs in sys.rows:
+        val = sum(c * x[j] for j, c in terms)
         assert {"<=": val <= rhs, ">=": val >= rhs, "=": val == rhs}[sense], (sys, x)
     assert all(0 <= xi <= 1 for xi in x), (sys, x)
 
@@ -183,9 +209,9 @@ def test_lp_rational_rows_against_vertex_enumeration(rng):
         n = rng.randint(1, 3)
         rows = tuple((tuple(q(-4, 4) for _ in range(n)), rng.choice(["<=", ">=", "="]),
                       q(-6, 6)) for _ in range(rng.randint(1, 4)))
-        sys = RationalInequalitySystem(n, rows)
+        sys = lp_system(n, rows)
         x = solve_lp_feasible(sys)
-        assert (x is not None) == _vertex_oracle(sys), sys
+        assert (x is not None) == _vertex_oracle(n, rows), sys
         if x is not None:
             _assert_in_system(sys, x)
         seen.add("feasible" if x is not None else "infeasible")
@@ -208,8 +234,7 @@ def _degenerate_systems():
         rows += [(tuple(rng.randint(-2, 2) for _ in range(3)), rng.choice(["<=", ">=", "="]),
                   Fraction(rng.randint(-2, 4), rng.randint(1, 3))) for _ in range(rng.randint(1, 2))]
         rng.shuffle(rows)
-        sys = RationalInequalitySystem(3, tuple(rows))
-        out.append((sys, _vertex_oracle(sys)))
+        out.append((lp_system(3, rows), _vertex_oracle(3, rows)))
     return tuple(out)
 
 
@@ -316,6 +341,25 @@ def test_odd_neq_cycle_answers_no():
     a_sat, b_sat = brute_force_promise(t, inst)
     assert not b_sat
     assert not solve_pcsp(t, inst).yes
+
+
+def test_translated_rows_do_not_depend_on_the_variable_count():
+    """The same constraints on variables 0-9 give the same rows at vars 10
+    and vars 100000.  Only the LP's convex-combination columns, numbered
+    after the instance's variables, move with the count."""
+    cons = ((0, (0, 1, 2)), (0, (3, 9, 4)), (0, (5, 5, 6)), (0, (7, 8, 7)))
+    shift = 100000 - 10
+
+    def moved(terms):
+        return tuple((j + shift if j >= 10 else j, c) for j, c in terms)
+
+    small, big = (solvers._lp_translate(CATALOG["two_sat"], Instance(n, cons))
+                  for n in (10, 100000))
+    assert small.n_vars > 10 and big.n_vars == small.n_vars + shift
+    assert big.rows == tuple((moved(terms), sense, rhs) for terms, sense, rhs in small.rows)
+    small, big = (solvers._dio_translate(ONE_IN_THREE, Instance(n, cons)) for n in (10, 100000))
+    assert (big.rows, big.rhs) == (small.rows, small.rhs)
+    assert small.rows[2] == ((5, 2), (6, 1))
 
 
 def test_gf2_witness_is_a_homomorphism(rng):
