@@ -209,6 +209,11 @@ class ProofContext(StaggerParams):
     def exponent(self, which: str) -> int:
         return PRESETS[self.preset][which]
 
+    def tame_bit(self, k: int) -> int:
+        """The parity tameness forces between u_k and u_0, for 0 <= k <= 2a:
+        equal up to a, distinct above."""
+        return int(k > self.a)
+
     def canonical_template(self) -> Template:
         neq = build_family("neq")
         if self.case in ("4a", "4b"):
@@ -531,7 +536,8 @@ def certificate_to_json(cert: Certificate) -> str:
 def certificate_from_json(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # nesting past the interpreter's recursion limit ends in the latter
         raise CertificateError(f"bad JSON: {e}")
     try:
         c = obj["context"]
@@ -583,22 +589,19 @@ def _claim_bit(claim: dict) -> int:
     return bit
 
 
-def _claim_edges(claim: dict, ctx: ProofContext):
-    """The parity edges a (verified) claim contributes as a fact."""
+def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
+    """The one parity edge (x, y, parity) a claim states."""
     kind = claim["kind"]
     if kind == "forced":
-        return [(sigma_term(_int(claim["k"], "claim k")), sigma_term(0),
-                 _claim_bit(claim))]
+        return sigma_term(_int(claim["k"], "claim k")), sigma_term(0), _claim_bit(claim)
     if kind == "absolute":
-        return [(sigma_term(_int(claim["k"], "claim k")), ZERO, _claim_bit(claim))]
-    if kind == "distinct":
-        return [(_term_from_json(claim["a"]), _term_from_json(claim["b"]), 1)]
-    if kind == "equal":
-        return [(_term_from_json(claim["a"]), _term_from_json(claim["b"]), 0)]
+        return sigma_term(_int(claim["k"], "claim k")), ZERO, _claim_bit(claim)
+    if kind in ("distinct", "equal"):
+        return (_term_from_json(claim["a"]), _term_from_json(claim["b"]),
+                int(kind == "distinct"))
     if kind == "tame":
         blocks = _ints(claim["blocks"], "block height")
-        side = 1 if area(blocks, ctx.p) > ctx.theta else 0
-        return [(rect_term(blocks), sigma_term(0), side)]
+        return rect_term(blocks), sigma_term(0), int(area(blocks, ctx.p) > ctx.theta)
     raise CertificateError(f"unknown claim kind {kind!r}")
 
 
@@ -647,14 +650,6 @@ class ParityDSU:
         self.offset[ry] = px ^ py ^ (parity & 1)
         return "new"
 
-    def snapshot_roots(self, terms):
-        roots = []
-        for t in terms:
-            r, _ = self.find(t)
-            if r not in roots:
-                roots.append(r)
-        return roots
-
 
 @dataclass
 class QConstraint:
@@ -671,97 +666,65 @@ class QConstraint:
     weights: frozenset
     twin: bool
 
-    def admits(self, ones: int, twin_ones: int) -> bool:
-        if ones not in self.weights:
-            return False
-        if self.twin and twin_ones not in self.weights:
-            return False
-        return True
-
 
 def _constraint_survivors(con: QConstraint, dsu: ParityDSU, extra_terms=()):
-    """Enumerate values of the free class roots; return (roots, survivors).
+    """The assignments of the class roots that the constraint admits.
 
-    Survivor tuples assign a bit to each root (ZERO pinned to 0).  Raises if
-    too many roots are free.
+    Each survivor maps ZERO's root, then every other root of the
+    constraint's and the extra terms' classes, to a bit; ZERO's root takes
+    the bit that makes ZERO itself 0.  Raises if too many roots are free.
     """
-    all_terms = [t for t, _, _ in con.terms] + list(extra_terms)
-    dsu.find(ZERO)
-    roots = dsu.snapshot_roots(all_terms + [ZERO])
     zroot, zpar = dsu.find(ZERO)
-    free = [r for r in roots if r != zroot]
+    terms = [(dsu.find(t), mult, flip) for t, mult, flip in con.terms]
+    free = dict.fromkeys([root for (root, _), _, _ in terms]
+                         + [dsu.find(t)[0] for t in extra_terms])
+    free.pop(zroot, None)
     if len(free) > MAX_FREE_ROOTS:
         raise CertificateError("too many undetermined classes for a local check")
     survivors = []
     for bits in range(1 << len(free)):
-        # pin the constant class so that ZERO itself evaluates to 0
         val = {zroot: zpar}
         for i, r in enumerate(free):
             val[r] = (bits >> i) & 1
         ones = twin_ones = 0
-        for term, mult, flip in con.terms:
-            root, par = dsu.find(term)
+        for (root, par), mult, flip in terms:
             v = val[root] ^ par
             ones += mult * v
             twin_ones += mult * ((1 - v) if flip else v)
-        if con.admits(ones, twin_ones):
+        if ones in con.weights and (not con.twin or twin_ones in con.weights):
             survivors.append(val)
-    return free, survivors
-
-
-def _claim_holds(edges, dsu: ParityDSU, val: dict) -> bool:
-    """Whether the claim's parity edges all hold under the assignment."""
-    def value(term):
-        root, par = dsu.find(term)
-        if root not in val:
-            return None
-        return val[root] ^ par
-
-    for x, y, parity in edges:
-        vx, vy = value(x), value(y)
-        if x == ZERO:
-            vx = 0
-        if y == ZERO:
-            vy = 0
-        if vx is None or vy is None:
-            return False
-        if (vx ^ vy) != parity:
-            return False
-    return True
+    return survivors
 
 
 def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
-                  fact_edges) -> Optional[str]:
+                  fact_edges) -> str | tuple:
     """Check that the claim holds in every consistent assignment.
 
     fact_edges seed the union-find; con (a twin pair is folded into one
     constraint) prunes the free-root assignments, and without it the claim
-    must follow from the facts alone.  Returns None when the claim is
-    forced, else a reason string.
+    must follow from the facts alone.  Returns the claim's parity edge when
+    the claim is forced, else a reason string.
     """
     dsu = ParityDSU()
-    dsu.find(ZERO)
     for x, y, parity in fact_edges:
         if dsu.union(x, y, parity) == "conflict":
             return "referenced facts are contradictory"
-    edges = _claim_edges(claim, ctx)
-    claim_terms = [e[i] for e in edges for i in (0, 1)]
+    edge = x, y, parity = _claim_edge(claim, ctx)
     if con is None:
         # pure closure: the claim must already follow from the facts
-        for x, y, parity in edges:
-            rel = dsu.relation(x, y)
-            if rel is None:
-                return "claim does not follow from the referenced facts"
-            if rel != parity:
-                return "claim contradicts the referenced facts"
-        return None
-    free, survivors = _constraint_survivors(con, dsu, claim_terms)
+        rel = dsu.relation(x, y)
+        if rel is None:
+            return "claim does not follow from the referenced facts"
+        if rel != parity:
+            return "claim contradicts the referenced facts"
+        return edge
+    survivors = _constraint_survivors(con, dsu, (x, y))
     if not survivors:
         return "no consistent assignment survives (inconsistent node)"
-    for val in survivors:
-        if not _claim_holds(edges, dsu, val):
-            return "claim is not forced by the constraint"
-    return None
+    (rx, px), (ry, py) = dsu.find(x), dsu.find(y)
+    if any(val[rx] ^ val[ry] != px ^ py ^ parity for val in survivors):
+        return "claim is not forced by the constraint"
+    return edge
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +766,8 @@ class PropagationResult:
     missing: tuple = ()
 
     def matches_tame_pattern(self, ctx: ProofContext) -> bool:
-        if self.status != "ok":
-            return False
-        for k in range(0, 2 * ctx.a + 1):
-            want = 0 if k <= ctx.a else 1
-            if self.forced.get(k) != want:
-                return False
-        return True
+        return self.status == "ok" and all(
+            self.forced.get(k) == ctx.tame_bit(k) for k in range(2 * ctx.a + 1))
 
 
 def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
@@ -824,7 +782,6 @@ def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
     weights = frozenset(q.weights)
     constraints: List[QConstraint] = []
     dsu = ParityDSU()
-    dsu.find(ZERO)
     contradiction = False
     for node in chain:
         tag = node.justify.get("tag")
@@ -850,14 +807,13 @@ def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
         changed = False
         for con in constraints:
             try:
-                free, survivors = _constraint_survivors(con, dsu)
+                survivors = _constraint_survivors(con, dsu)
             except CertificateError:
                 continue
             if not survivors:
                 contradiction = True
                 break
-            zroot, _ = dsu.find(ZERO)
-            roots = [zroot] + free
+            roots = list(survivors[0])
             for i in range(len(roots)):
                 for j in range(i + 1, len(roots)):
                     rels = {val[roots[i]] ^ val[roots[j]] for val in survivors}
@@ -905,7 +861,7 @@ def _padded_2d_constraint(z_blocks, members, pad: int, q_weights, twin: bool,
 
 
 def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozenset,
-                              facts: list, template_has_neq: bool) -> Optional[str]:
+                              facts: list, template_has_neq: bool) -> str | tuple:
     """The halving and completion rules: z's rotations, the column
     completion l and, for halving, l's two halves in place of l form one
     plausible family (and, with a twin, so do their complements)."""
@@ -956,18 +912,19 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
 
 
 def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
-                facts_by_id, template_has_neq: bool) -> Optional[str]:
-    """Re-derive one node's claim; None when sound, else the reason.
+                facts_by_id, template_has_neq: bool) -> str | tuple:
+    """Re-derive one node's claim; its parity edge when sound, else the
+    reason string.
 
     `facts_by_id` maps each earlier sound node's id to its claim's parity
-    edges.  A missing or loosely typed field raises instead; the verifier
+    edge.  A missing or loosely typed field raises instead; the verifier
     reports it as a malformed node."""
     for rid in node.refs:
         if type(rid) is not int:
             return f"reference {rid!r} is not an integer"
         if rid not in facts_by_id or rid >= node.id:
             return f"reference {rid} is not an earlier node"
-    facts = [edge for rid in node.refs for edge in facts_by_id[rid]]
+    facts = [facts_by_id[rid] for rid in node.refs]
     tag = node.justify.get("tag")
 
     if tag == "plausible1d":
@@ -1071,7 +1028,10 @@ def _pigeonhole_interval(ctx: ProofContext) -> range:
     """The pattern heights: integers k >= 0 with theta*p - 2b < k < theta*p.
 
     The lower end is truncated toward zero, so for -1 < theta*p - 2b < 0
-    the height 0 is left out.
+    the height 0 is left out.  That is kept on purpose: the contradiction
+    needs any b + 1 heights from the admissible range, and generation and
+    the checker read this same subset.  So a missing height can make a p
+    unworkable, but it cannot let an unsound certificate through.
     """
     lo, hi = ctx.theta * ctx.p - 2 * ctx.b, ctx.theta * ctx.p
     return range(max(int(lo) + 1, 0), math.ceil(hi))
@@ -1160,8 +1120,7 @@ class _CertBuilder:
     def emit(self, claim: dict, justify: dict, refs) -> int:
         node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
         self.nodes.append(node)
-        for x, y, parity in _claim_edges(claim, self.ctx):
-            self._link(x, y, parity, node.id)
+        self._link(*_claim_edge(claim, self.ctx), node.id)
         return node.id
 
     # -- the 1-D chain --
@@ -1253,11 +1212,10 @@ class _CertBuilder:
         for i in range(1, a + 1):
             order.extend([a + i, a - i])
         for k in order:
-            if not (0 <= k <= 2 * a) or k in self.forced_ids:
+            if k in self.forced_ids:
                 continue
-            bit = 0 if k <= a else 1
             refs = self.refs_for([(sigma_term(k), sigma_term(0))])
-            self.forced_ids[k] = self.emit(claim_forced(k, bit),
+            self.forced_ids[k] = self.emit(claim_forced(k, self.ctx.tame_bit(k)),
                                            {"tag": "closure"}, refs)
 
     # -- induction over almost rectangles --
@@ -1342,13 +1300,12 @@ class _CertBuilder:
 
 
 def _finale_heights(ctx: ProofContext, z2: int) -> int:
-    """The maximal first-block height keeping the area below the threshold."""
+    """The maximal first-block height keeping the area below the threshold:
+    the largest z1 <= p with m*z1 + (p - m)*z2 < theta*p^2.  Every context
+    has p >= 5, so m = (p - 1) // 2 >= 2."""
     p, m = ctx.p, (ctx.p - 1) // 2
-    best = None
-    for z1 in range(0, p + 1):
-        if area(tuple([z1] * m + [z2] * (p - m)), p) < ctx.theta:
-            best = z1
-    if best is None:
+    best = min(p, math.ceil((ctx.theta * p * p - (p - m) * z2) / m) - 1)
+    if best < 0:
         raise GenerationError("no height stays below the threshold")
     return best
 
@@ -1463,35 +1420,31 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
         return VerificationResult(False, None, "template does not match the context")
     q_weights, has_neq = matched
 
-    facts_by_id: Dict[int, list] = {}
+    facts_by_id: Dict[int, tuple] = {}
     for idx, node in enumerate(cert.nodes):
         try:
             if _int(node.id, "node id") != idx:
                 return VerificationResult(False, idx, "node ids must be sequential")
-            reason = _check_node(node, ctx, q_weights, facts_by_id, has_neq)
+            got = _check_node(node, ctx, q_weights, facts_by_id, has_neq)
         except KeyError as e:
-            reason = f"malformed node: missing field {e}"
+            got = f"malformed node: missing field {e}"
         except Exception as e:  # malformed payloads must reject, not crash
-            reason = f"malformed node: {e}"
-        if reason is not None:
-            return VerificationResult(False, idx, reason)
-        # the check has read this claim strictly already
-        facts_by_id[idx] = _claim_edges(node.claim, ctx)
+            got = f"malformed node: {e}"
+        if isinstance(got, str):
+            return VerificationResult(False, idx, got)
+        facts_by_id[idx] = got
 
     if cert.conclusion == "tame_base":
         if ctx.b != 0:
             return VerificationResult(False, None,
                                       "base-only conclusion requires b = 0")
         dsu = ParityDSU()
-        dsu.find(ZERO)
-        for idx, edges in facts_by_id.items():
-            for x, y, parity in edges:
-                if dsu.union(x, y, parity) == "conflict":
-                    return VerificationResult(False, idx,
-                                              "claims are mutually inconsistent")
-        for k in range(0, 2 * ctx.a + 1):
-            want = 0 if k <= ctx.a else 1
-            if dsu.relation(sigma_term(k), sigma_term(0)) != want:
+        for idx, (x, y, parity) in facts_by_id.items():
+            if dsu.union(x, y, parity) == "conflict":
+                return VerificationResult(False, idx,
+                                          "claims are mutually inconsistent")
+        for k in range(2 * ctx.a + 1):
+            if dsu.relation(sigma_term(k), sigma_term(0)) != ctx.tame_bit(k):
                 return VerificationResult(False, None,
                                           f"tameness coverage missing at {k}")
         return VerificationResult(True)

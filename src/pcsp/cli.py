@@ -29,7 +29,7 @@ class _CliError(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _CliError(f"cannot read {path}: {e}")
 
 
@@ -146,7 +146,10 @@ def _cmd_certify(args, out) -> int:
         raise _CliError(str(e), EXIT_NEGATIVE)
     text = certificates.certificate_to_json(cert)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise _CliError(f"cannot write {args.output}: {e}")
         out.write(f"wrote {args.output} ({len(cert.nodes)} nodes, "
                   f"{cert.conclusion})\n")
     else:

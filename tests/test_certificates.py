@@ -398,6 +398,42 @@ def test_generation_checks_each_node_once(monkeypatch, args):
     assert propagated == []
 
 
+@pytest.mark.parametrize("args", ONE_PER_CASE)
+def test_verification_parses_each_claim_once(monkeypatch, args):
+    """verify_certificate reads each node's claim once, in order: the edge
+    the check derives is the fact that later nodes cite."""
+    cert = gen_certificate(ProofContext(*args))
+    parsed = []
+    claim_edge = certificates._claim_edge
+    monkeypatch.setattr(certificates, "_claim_edge",
+                        lambda claim, ctx: parsed.append(claim) or claim_edge(claim, ctx))
+    assert verify_certificate(cert, cert.context.canonical_template()).ok
+    assert parsed == [node.claim for node in cert.nodes]
+
+
+def test_pigeonhole_interval_leaves_out_height_zero():
+    """At (2-in-5) case 1, p = 11, b = 3, theta*p - 2b = -1/2 and the
+    interval starts at 1.  Any b + 1 admissible heights give the
+    contradiction, so the smaller set is kept."""
+    ctx = ProofContext(2, 5, "1", 11, 3)
+    assert ctx.theta * ctx.p - 2 * ctx.b == Fraction(-1, 2)
+    assert certificates._pigeonhole_interval(ctx) == range(1, 6)
+
+
+@pytest.mark.parametrize("args", ONE_PER_CASE + [(2, 4, "4a", 5, 0)])
+def test_finale_height_is_the_largest_below_the_threshold(args):
+    ctx = ProofContext(*args)
+    p, m = ctx.p, (ctx.p - 1) // 2
+    for z2 in range(p + 1):
+        below = [z1 for z1 in range(p + 1)
+                 if area((z1,) * m + (z2,) * (p - m), p) < ctx.theta]
+        if below:
+            assert certificates._finale_heights(ctx, z2) == max(below)
+        else:
+            with pytest.raises(GenerationError):
+                certificates._finale_heights(ctx, z2)
+
+
 @pytest.fixture
 def first_distinct_claim_broken(monkeypatch):
     """Generation writes `equal` where its first case-4a chain node claims

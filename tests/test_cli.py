@@ -356,3 +356,42 @@ def test_enumerate_arity_below_one_is_refused(tmp_path, capsys):
 def test_table_max_s_below_one_is_refused(capsys):
     for k in ("0", "-2"):
         assert _usage_error(["table", "--max-s", k], capsys) == "error: --max-s must be >= 1\n"
+
+
+@pytest.mark.parametrize("kind", ["template", "instance", "table", "certificate"])
+def test_input_that_is_not_utf8_is_refused(tmp_path, capsys, kind):
+    """A UTF-16 file, or one holding byte 0xff, used to end in a
+    UnicodeDecodeError traceback and exit 1."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    bad = tmp_path / "bad"
+    if kind == "template":
+        bad.write_text(format_template(ONE_IN_THREE), encoding="utf-16")
+        argv = ["classify", "-t", str(bad)]
+    elif kind == "instance":
+        bad.write_text(format_instance(Instance(3, ((0, (0, 1, 2)),))), encoding="utf-16")
+        argv = ["solve", "-t", tpath, "-i", str(bad)]
+    elif kind == "table":
+        bad.write_bytes(format_function(parity_function(3)).encode("ascii") + b"\xff\n")
+        argv = ["poly", str(bad), "--cyclic"]
+    else:
+        bad.write_bytes(b'{"context": "\xff"}\n')
+        argv = ["verify", str(bad), "-t", tpath]
+    assert _usage_error(argv, capsys).startswith(f"error: cannot read {bad}: ")
+
+
+def test_deeply_nested_certificate_is_refused(tmp_path, capsys):
+    """Nesting past the recursion limit used to end in a RecursionError
+    traceback and exit 1."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text("[" * 200_000, encoding="utf-8")
+    err = _usage_error(["verify", str(cpath), "-t", tpath], capsys)
+    assert err.startswith(f"error: {cpath}: bad JSON: ")
+
+
+def test_certify_into_a_missing_directory_is_refused(tmp_path, capsys):
+    target = tmp_path / "missing" / "c.json"
+    err = _usage_error(["certify", "-r", "1", "-s", "3", "--case", "4a", "-p", "7",
+                        "-b", "0", "-o", str(target)], capsys)
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
