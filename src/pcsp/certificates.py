@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -117,7 +118,10 @@ class StaggerParams:
         if self.r < 0 or self.s < 1 or self.p < 1:
             raise CertificateError("need r >= 0, s >= 1 and p >= 1")
 
-    @property
+    # Derived constants are cached per instance: cached_property writes the
+    # instance __dict__ directly, so it works on these frozen dataclasses
+    # and leaves equality and hashing to the fields.
+    @cached_property
     def n(self) -> int:
         return self.p * self.p
 
@@ -167,11 +171,11 @@ class ProofContext(StaggerParams):
         if not ok:
             raise CertificateError(f"case {self.case} incompatible with r={r}, s={s}")
 
-    @property
+    @cached_property
     def theta(self) -> Fraction:
         return Fraction(1, 2) if self.case == "1" else Fraction(self.r, self.s)
 
-    @property
+    @cached_property
     def a(self) -> int:
         # largest k with k/n strictly below the threshold; n = 1 mod s keeps
         # theta*n non-integral
@@ -179,7 +183,7 @@ class ProofContext(StaggerParams):
         assert t.denominator != 1
         return int(t)
 
-    @property
+    @cached_property
     def q_weights(self) -> frozenset:
         if self.case in ("4a", "4b"):
             return frozenset(range(1, self.s))
@@ -610,16 +614,19 @@ def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
 # ---------------------------------------------------------------------------
 
 class ParityDSU:
-    """Union-find over terms with an XOR offset to the class root."""
+    """Union-find over terms with an XOR offset to the class root: union by
+    size (Tarjan 1975) and path compression."""
 
     def __init__(self):
         self.parent: Dict[tuple, tuple] = {}
         self.offset: Dict[tuple, int] = {}
+        self.size: Dict[tuple, int] = {}
 
     def find(self, x):
         if x not in self.parent:
             self.parent[x] = x
             self.offset[x] = 0
+            self.size[x] = 1
             return x, 0
         path = []
         while self.parent[x] != x:
@@ -646,8 +653,11 @@ class ParityDSU:
         ry, py = self.find(y)
         if rx == ry:
             return "known" if (px ^ py) == (parity & 1) else "conflict"
+        if self.size[rx] < self.size[ry]:
+            rx, ry = ry, rx
         self.parent[ry] = rx
         self.offset[ry] = px ^ py ^ (parity & 1)
+        self.size[rx] += self.size.pop(ry)
         return "new"
 
 
@@ -667,62 +677,133 @@ class QConstraint:
     twin: bool
 
 
-def _constraint_survivors(con: QConstraint, dsu: ParityDSU, extra_terms=()):
-    """The assignments of the class roots that the constraint admits.
+def _flat_classes(fact_edges) -> Optional[Dict[tuple, tuple]]:
+    """The classes the facts form, flat: term -> (representative, parity to
+    it), so that a lookup is one dict read; a term no fact names is left
+    out, as its own class.  A union relabels the smaller class.  None when
+    the facts are contradictory."""
+    cls: Dict[tuple, tuple] = {}
+    members: Dict[tuple, list] = {}
+    for x, y, parity in fact_edges:
+        cx, cy = cls.get(x), cls.get(y)
+        if cx is None and cy is None:
+            if x == y:
+                if parity:
+                    return None
+                continue
+            cls[x], cls[y] = (x, 0), (x, parity)
+            members[x] = [x, y]
+        elif cy is None:
+            cls[y] = cx[0], cx[1] ^ parity
+            members[cx[0]].append(y)
+        elif cx is None:
+            cls[x] = cy[0], cy[1] ^ parity
+            members[cy[0]].append(x)
+        else:
+            (rx, px), (ry, py) = cx, cy
+            if rx == ry:
+                if px ^ py != parity:
+                    return None
+                continue
+            if len(members[rx]) < len(members[ry]):
+                rx, ry = ry, rx
+            off = px ^ py ^ parity  # the parity between the two representatives
+            small = members.pop(ry)
+            for t in small:
+                cls[t] = rx, cls[t][1] ^ off
+            members[rx] += small
+    return cls
 
-    Each survivor maps ZERO's root, then every other root of the
-    constraint's and the extra terms' classes, to a bit; ZERO's root takes
-    the bit that makes ZERO itself 0.  Raises if too many roots are free.
+
+def _survivors(con: QConstraint, find, extra_terms=()):
+    """The assignments of the free classes that the constraint admits.
+
+    `find` maps a term to its (root, parity).  The free roots are the roots
+    of the constraint's and the extra terms' classes, ZERO's root left out;
+    free root i is bit i of an assignment mask, and ZERO's root takes the
+    bit that makes ZERO itself 0.  Returns (ZERO's root, its bit, the free
+    roots, the surviving masks).  Raises if too many roots are free.
     """
-    zroot, zpar = dsu.find(ZERO)
-    terms = [(dsu.find(t), mult, flip) for t, mult, flip in con.terms]
-    free = dict.fromkeys([root for (root, _), _, _ in terms]
-                         + [dsu.find(t)[0] for t in extra_terms])
-    free.pop(zroot, None)
-    if len(free) > MAX_FREE_ROOTS:
+    zroot, zbit = find(ZERO)
+    # the weights with every free root at 0, and what setting root i adds
+    index: Dict[tuple, int] = {}
+    ones = twin_ones = 0
+    gain: List[int] = []
+    twin_gain: List[int] = []
+    for t, mult, flip in con.terms:
+        root, par = find(t)
+        if root == zroot:
+            par ^= zbit
+        else:
+            i = index.get(root)
+            if i is None:
+                i = index[root] = len(gain)
+                gain.append(0)
+                twin_gain.append(0)
+            step = -mult if par else mult
+            gain[i] += step
+            twin_gain[i] += -step if flip else step
+        ones += mult * par
+        twin_ones += mult * (par ^ flip)
+    for t in extra_terms:
+        root = find(t)[0]
+        if root != zroot and root not in index:
+            index[root] = len(gain)
+            gain.append(0)
+            twin_gain.append(0)
+    if len(gain) > MAX_FREE_ROOTS:
         raise CertificateError("too many undetermined classes for a local check")
-    survivors = []
-    for bits in range(1 << len(free)):
-        val = {zroot: zpar}
-        for i, r in enumerate(free):
-            val[r] = (bits >> i) & 1
-        ones = twin_ones = 0
-        for (root, par), mult, flip in terms:
-            v = val[root] ^ par
-            ones += mult * v
-            twin_ones += mult * ((1 - v) if flip else v)
-        if ones in con.weights and (not con.twin or twin_ones in con.weights):
-            survivors.append(val)
-    return survivors
+    weights = con.weights
+    masks = [m for m, w in enumerate(_mask_sums(ones, gain)) if w in weights]
+    if con.twin:
+        twin_sums = _mask_sums(twin_ones, twin_gain)
+        masks = [m for m in masks if twin_sums[m] in weights]
+    return zroot, zbit, list(index), masks
+
+
+def _mask_sums(base: int, gains: List[int]) -> List[int]:
+    """The weight under every mask: base plus gains[i] for each set bit i
+    (bit i doubles the list)."""
+    sums = [base]
+    for g in gains:
+        sums += [w + g for w in sums]
+    return sums
 
 
 def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
                   fact_edges) -> str | tuple:
     """Check that the claim holds in every consistent assignment.
 
-    fact_edges seed the union-find; con (a twin pair is folded into one
+    fact_edges form flat classes; con (a twin pair is folded into one
     constraint) prunes the free-root assignments, and without it the claim
     must follow from the facts alone.  Returns the claim's parity edge when
     the claim is forced, else a reason string.
     """
-    dsu = ParityDSU()
-    for x, y, parity in fact_edges:
-        if dsu.union(x, y, parity) == "conflict":
-            return "referenced facts are contradictory"
+    cls = _flat_classes(fact_edges)
+    if cls is None:
+        return "referenced facts are contradictory"
     edge = x, y, parity = _claim_edge(claim, ctx)
+    (rx, px), (ry, py) = cls.get(x) or (x, 0), cls.get(y) or (y, 0)
     if con is None:
         # pure closure: the claim must already follow from the facts
-        rel = dsu.relation(x, y)
-        if rel is None:
+        if rx != ry:
             return "claim does not follow from the referenced facts"
-        if rel != parity:
+        if px ^ py != parity:
             return "claim contradicts the referenced facts"
         return edge
-    survivors = _constraint_survivors(con, dsu, (x, y))
-    if not survivors:
+    zroot, zbit, free, masks = _survivors(con, lambda t: cls.get(t) or (t, 0), (x, y))
+    if not masks:
         return "no consistent assignment survives (inconsistent node)"
-    (rx, px), (ry, py) = dsu.find(x), dsu.find(y)
-    if any(val[rx] ^ val[ry] != px ^ py ^ parity for val in survivors):
+    # x ^ y == parity holds in a mask when the bits of x's and y's roots XOR
+    # to `want`; a root that is not free is ZERO's, with its fixed bit
+    want = px ^ py ^ parity
+    select = 0
+    for root in (rx, ry):
+        if root == zroot:
+            want ^= zbit
+        else:
+            select ^= 1 << free.index(root)
+    if any((m & select).bit_count() & 1 != want for m in masks):
         return "claim is not forced by the constraint"
     return edge
 
@@ -732,11 +813,10 @@ def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
 # ---------------------------------------------------------------------------
 
 def _ktuple_constraint(ks, weights: frozenset, twin: bool) -> QConstraint:
-    mult: Dict[tuple, int] = {}
+    mult = dict.fromkeys(sorted(ks), 0)
     for k in ks:
-        t = sigma_term(k)
-        mult[t] = mult.get(t, 0) + 1
-    terms = tuple((t, m, True) for t, m in sorted(mult.items()))
+        mult[k] += 1
+    terms = tuple([(sigma_term(k), m, True) for k, m in mult.items()])
     return QConstraint(terms, weights, twin)
 
 
@@ -807,16 +887,19 @@ def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
         changed = False
         for con in constraints:
             try:
-                survivors = _constraint_survivors(con, dsu)
+                zroot, zbit, free, masks = _survivors(con, dsu.find)
             except CertificateError:
                 continue
-            if not survivors:
+            if not masks:
                 contradiction = True
                 break
-            roots = list(survivors[0])
+            # root i's bit in each mask: ZERO's root first, then the free ones
+            roots = [zroot] + free
+            bits = [[zbit] * len(masks)] + [[(m >> i) & 1 for m in masks]
+                                             for i in range(len(free))]
             for i in range(len(roots)):
                 for j in range(i + 1, len(roots)):
-                    rels = {val[roots[i]] ^ val[roots[j]] for val in survivors}
+                    rels = {u ^ v for u, v in zip(bits[i], bits[j])}
                     if len(rels) == 1:
                         got = dsu.union(roots[i], roots[j], rels.pop())
                         if got == "conflict":
@@ -917,8 +1000,12 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
     reason string.
 
     `facts_by_id` maps each earlier sound node's id to its claim's parity
-    edge.  A missing or loosely typed field raises instead; the verifier
-    reports it as a malformed node."""
+    edge.  A missing or loosely typed field raises KeyError, TypeError or
+    ValueError instead; the verifier reports it as a malformed node."""
+    if type(node.claim) is not dict:
+        return "claim is not a JSON object"
+    if type(node.justify) is not dict:
+        return "justification is not a JSON object"
     for rid in node.refs:
         if type(rid) is not int:
             return f"reference {rid!r} is not an integer"
@@ -926,6 +1013,9 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             return f"reference {rid} is not an earlier node"
     facts = [facts_by_id[rid] for rid in node.refs]
     tag = node.justify.get("tag")
+
+    if tag == "closure":  # the most frequent rule
+        return _deduce_claim(node.claim, ctx, None, facts)
 
     if tag == "plausible1d":
         tuples = node.justify.get("tuples")
@@ -961,9 +1051,6 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             if node.claim.get("kind") == "tame" and tuple(node.claim["blocks"]) != blocks:
                 return "claim does not name the complemented rectangle"
         return _deduce_claim(node.claim, ctx, None, facts + [edge])
-
-    if tag == "closure":
-        return _deduce_claim(node.claim, ctx, None, facts)
 
     if tag == "double_cyclicity":
         blocks = _ints(node.justify["blocks"], "block height")
@@ -1088,7 +1175,8 @@ class _CertBuilder:
             _, parent_parity, parent_id = self.up[parent]
             parity ^= parent_parity
             claim = (claim_distinct if parity else claim_equal)(term, root)
-            lemma = self.emit(claim, {"tag": "closure"}, [nid, parent_id])
+            lemma = self.emit(claim, (term, root, parity), {"tag": "closure"},
+                              [nid, parent_id])
             self.up[term] = (root, parity, lemma)
         if not path:
             return root, 0, []
@@ -1117,11 +1205,18 @@ class _CertBuilder:
             ids.update(got[1])
         return sorted(ids)
 
-    def emit(self, claim: dict, justify: dict, refs) -> int:
+    def emit(self, claim: dict, edge: tuple, justify: dict, refs) -> int:
+        """Append a node; `edge` is the parity edge the claim states, from
+        the terms the caller built the claim of."""
         node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
         self.nodes.append(node)
-        self._link(*_claim_edge(claim, self.ctx), node.id)
+        self._link(*edge, node.id)
         return node.id
+
+    def emit_tame(self, blocks: tuple, justify: dict, refs) -> int:
+        # the area is above theta exactly when the block sum is above a
+        edge = rect_term(blocks), sigma_term(0), self.ctx.tame_bit(sum(blocks))
+        return self.emit(claim_tame(blocks), edge, justify, refs)
 
     # -- the 1-D chain --
 
@@ -1140,12 +1235,12 @@ class _CertBuilder:
         abs_ids = {}
         for k in range(0, ctx.a + 1):
             ks = [k] * ctx.s
-            abs_ids[k] = self.emit(claim_absolute(k, 0),
+            abs_ids[k] = self.emit(claim_absolute(k, 0), (sigma_term(k), ZERO, 0),
                                    {"tag": "plausible1d", "tuples": [ks],
                                     "twin": _twin_available(ks, ctx)}, [])
         for k in range(0, ctx.a + 1):
-            self.emit(claim_absolute(ctx.n - k, 1), {"tag": "negation", "k": k},
-                      [abs_ids[k]])
+            self.emit(claim_absolute(ctx.n - k, 1), (sigma_term(ctx.n - k), ZERO, 1),
+                      {"tag": "negation", "k": k}, [abs_ids[k]])
 
     def _chain_case_1(self):
         ctx = self.ctx
@@ -1156,9 +1251,9 @@ class _CertBuilder:
             refs = []
             if n - k - 1 != k:
                 refs = [neg_ids[k + 1]]
-            nid = self.emit(claim_absolute(k, 0),
+            nid = self.emit(claim_absolute(k, 0), (sigma_term(k), ZERO, 0),
                             {"tag": "plausible1d", "tuples": [ks], "twin": False}, refs)
-            neg_ids[k] = self.emit(claim_absolute(n - k, 1),
+            neg_ids[k] = self.emit(claim_absolute(n - k, 1), (sigma_term(n - k), ZERO, 1),
                                    {"tag": "negation", "k": k}, [nid])
 
     def _chain_case_4(self):
@@ -1170,7 +1265,7 @@ class _CertBuilder:
 
         def emit_distinct(x, y, ks, known_pairs):
             refs = self.refs_for([pq for pq in known_pairs if pq[0] != pq[1]])
-            return self.emit(claim_distinct(u(x), u(y)),
+            return self.emit(claim_distinct(u(x), u(y)), (u(x), u(y), 1),
                              {"tag": "plausible1d", "tuples": [list(ks)],
                               "twin": _twin_available(ks, ctx)}, refs)
 
@@ -1215,7 +1310,9 @@ class _CertBuilder:
             if k in self.forced_ids:
                 continue
             refs = self.refs_for([(sigma_term(k), sigma_term(0))])
-            self.forced_ids[k] = self.emit(claim_forced(k, self.ctx.tame_bit(k)),
+            bit = self.ctx.tame_bit(k)
+            self.forced_ids[k] = self.emit(claim_forced(k, bit),
+                                           (sigma_term(k), sigma_term(0), bit),
                                            {"tag": "closure"}, refs)
 
     # -- induction over almost rectangles --
@@ -1246,10 +1343,10 @@ class _CertBuilder:
             k = sum(blocks)
             if k not in self.forced_ids:
                 raise GenerationError(f"base chain does not cover index {k}")
-            nid = self.emit(claim_tame(blocks),
-                            {"tag": "double_cyclicity", "blocks": list(blocks),
-                             "k": k, "shift": ar.shift},
-                            [self.forced_ids[k]])
+            nid = self.emit_tame(blocks,
+                                 {"tag": "double_cyclicity", "blocks": list(blocks),
+                                  "k": k, "shift": ar.shift},
+                                 [self.forced_ids[k]])
         else:
             too_close = abs(lam - ctx.theta) < Fraction(
                 1, ctx.s ** (ctx.b + ctx.exponent("tooclose")))
@@ -1276,8 +1373,8 @@ class _CertBuilder:
         try:
             s1 = self.ensure_tame(h1.blocks, depth + 1)
             s2 = self.ensure_tame(h2.blocks, depth + 1)
-            return self.emit(
-                claim_tame(blocks),
+            return self.emit_tame(
+                blocks,
                 {"tag": "halving", "m": ctx.m_half, "blocks": list(blocks),
                  "l": list(l_ar.blocks), "l1": list(h1.blocks),
                  "l2": list(h2.blocks), "twin": ctx.has_neq, "pad": ctx.zero_pad},
@@ -1292,8 +1389,8 @@ class _CertBuilder:
         except CertificateError as e:
             raise GenerationError(f"p too small: {e}")
         sub = self.ensure_tame(w_ar.blocks, depth + 1)
-        return self.emit(
-            claim_tame(blocks),
+        return self.emit_tame(
+            blocks,
             {"tag": "completion", "m": ctx.m_flip, "blocks": list(blocks),
              "l": list(w_ar.blocks), "twin": ctx.has_neq, "pad": ctx.zero_pad},
             [sub] + self._case_refs())
@@ -1349,6 +1446,7 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                 n1 = cb.ensure_tame(zb1)
                 n2 = cb.ensure_tame(zb2)
                 cb.emit(claim_distinct(rect_term(zb1), rect_term(zb2)),
+                        (rect_term(zb1), rect_term(zb2), 1),
                         {"tag": "boundedness", "z21": z21, "z22": z22,
                          "z1": z1h, "m": m},
                         [n1, n2])
@@ -1412,7 +1510,9 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
 
     All deduction steps take the relaxed relation from the template itself,
     so replaying a certificate against a template with a larger B side makes
-    the propagation incomplete and the certificate is rejected.
+    the propagation incomplete and the certificate is rejected.  A malformed
+    node (KeyError, TypeError or ValueError while reading it) is rejected;
+    any other exception is a checker bug and raises InternalCheckError.
     """
     ctx = cert.context
     matched = _match_template(ctx, template)
@@ -1428,8 +1528,13 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
             got = _check_node(node, ctx, q_weights, facts_by_id, has_neq)
         except KeyError as e:
             got = f"malformed node: missing field {e}"
-        except Exception as e:  # malformed payloads must reject, not crash
+        except (TypeError, ValueError) as e:  # CertificateError among them
             got = f"malformed node: {e}"
+        except Exception as e:
+            # a payload that reads strictly raises nothing else: a bug in
+            # the checker is not a rejected certificate
+            raise InternalCheckError(f"the checker failed at node {idx}: "
+                                     f"{type(e).__name__}: {e}") from e
         if isinstance(got, str):
             return VerificationResult(False, idx, got)
         facts_by_id[idx] = got

@@ -284,6 +284,142 @@ def test_propagate_order_independent(rng):
         assert res.status == "ok" and res.forced == baseline.forced
 
 
+# -- the deduction kernel --------------------------------------------------------
+
+def _parity_closure(edges, x, y):
+    """x's parity to y along the given edges, by search; None when apart."""
+    seen, todo = {x: 0}, [x]
+    while todo:
+        t = todo.pop()
+        for a, b, parity in edges:
+            for u, v in ((a, b), (b, a)):
+                if u == t and v not in seen:
+                    seen[v] = seen[t] ^ parity
+                    todo.append(v)
+    return None if y not in seen else seen[x] ^ seen[y]
+
+
+def test_parity_dsu_against_brute_force_closure():
+    """Union by size with parity offsets: trees stay shallow, and every
+    union's outcome and every final relation agree with a search over the
+    edges it accepted."""
+    rng = random.Random(1975)
+    for _ in range(200):
+        terms = [("t", i) for i in range(rng.randint(2, 9))]
+        dsu, accepted = certificates.ParityDSU(), []
+        for _ in range(rng.randint(0, 14)):
+            x, y, parity = rng.choice(terms), rng.choice(terms), rng.randrange(2)
+            known = _parity_closure(accepted, x, y)
+            want = "new" if known is None else "known" if known == parity else "conflict"
+            assert dsu.union(x, y, parity) == want
+            if want == "new":
+                accepted.append((x, y, parity))
+        # union by size: a term is at most log2(class size) links below its root
+        for x in dsu.parent:
+            depth, root = 0, x
+            while dsu.parent[root] != root:
+                depth, root = depth + 1, dsu.parent[root]
+            assert 2 ** depth <= dsu.size[root]
+        for x in terms:
+            for y in terms:
+                assert dsu.relation(x, y) == _parity_closure(accepted, x, y)
+
+
+KERNEL_POOL = [certificates.ZERO] + [certificates.sigma_term(k) for k in range(5)] \
+    + [certificates.rect_term((2, 1))]
+
+
+def _random_claim(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return certificates.claim_absolute(rng.randrange(5), rng.randrange(2))
+    if kind == 1:
+        return certificates.claim_forced(rng.randrange(5), rng.randrange(2))
+    terms = KERNEL_POOL[1:]
+    x, y = rng.choice(terms), rng.choice(terms)
+    return (certificates.claim_distinct if kind == 2 else certificates.claim_equal)(x, y)
+
+
+def _oracle_verdict(edge, con, facts):
+    """The verdict by enumerating every 0/1 value of the terms involved,
+    ZERO fixed at 0."""
+    x, y, parity = edge
+    terms = {x, y} | {t for a, b, _ in facts for t in (a, b)}
+    if con is not None:
+        terms |= {t for t, _, _ in con.terms}
+    others = sorted(terms - {certificates.ZERO})
+    consistent = []
+    for bits in range(1 << len(others)):
+        val = {t: (bits >> i) & 1 for i, t in enumerate(others)}
+        val[certificates.ZERO] = 0
+        if all(val[a] ^ val[b] == p for a, b, p in facts):
+            consistent.append(val)
+    if not consistent:
+        return "contradictory facts"
+    if con is None:
+        rels = {val[x] ^ val[y] for val in consistent}
+        return "not forced" if len(rels) > 1 else "forced" if rels == {parity} \
+            else "contradicted"
+    # free classes: terms not fixed by the facts, two of them alike when
+    # the facts fix their parity
+    free = [t for t in [t for t, _, _ in con.terms] + [x, y]
+            if len({val[t] for val in consistent}) > 1]
+    reps = {next(u for u in free if len({val[t] ^ val[u] for val in consistent}) == 1)
+            for t in free}
+    if len(reps) > certificates.MAX_FREE_ROOTS:
+        return "too many classes"
+
+    def admits(val):
+        ones = sum(m * val[t] for t, m, _ in con.terms)
+        twin_ones = sum(m * (1 - val[t] if flip else val[t]) for t, m, flip in con.terms)
+        return ones in con.weights and (not con.twin or twin_ones in con.weights)
+
+    survivors = [val for val in consistent if admits(val)]
+    if not survivors:
+        return "no survivor"
+    return "forced" if all(val[x] ^ val[y] == parity for val in survivors) else "not forced"
+
+
+KERNEL_VERDICTS = {
+    "referenced facts are contradictory": "contradictory facts",
+    "claim does not follow from the referenced facts": "not forced",
+    "claim contradicts the referenced facts": "contradicted",
+    "no consistent assignment survives (inconsistent node)": "no survivor",
+    "claim is not forced by the constraint": "not forced",
+}
+
+
+def test_deduction_kernel_against_exhaustive_oracle():
+    """_deduce_claim on random facts, constraints (twin and not) and claims
+    gives the verdict of enumerating every assignment of the terms."""
+    rng = random.Random(2026)
+    seen = {}
+    for case in range(3000):
+        facts = []
+        for _ in range(rng.randint(0, 5)):
+            x, y = rng.choice(KERNEL_POOL), rng.choice(KERNEL_POOL)
+            facts.append((x, y, rng.randrange(2)))
+        con = None
+        if rng.random() < 0.75:
+            terms = rng.sample(KERNEL_POOL, rng.randint(1, 5))
+            con = certificates.QConstraint(
+                tuple((t, rng.randint(1, 3), rng.random() < 0.7) for t in terms),
+                frozenset(w for w in range(10) if rng.random() < 0.4),
+                rng.random() < 0.5)
+        claim = _random_claim(rng)
+        edge = certificates._claim_edge(claim, CTX137)
+        try:
+            got = certificates._deduce_claim(claim, CTX137, con, facts)
+            verdict = "forced" if got == edge else KERNEL_VERDICTS[got]
+        except CertificateError as e:
+            assert "too many undetermined classes" in str(e)
+            verdict = "too many classes"
+        assert verdict == _oracle_verdict(edge, con, facts), (case, claim, con, facts)
+        seen[verdict] = seen.get(verdict, 0) + 1
+    assert set(seen) == {"forced", "not forced", "contradicted", "no survivor",
+                         "contradictory facts", "too many classes"}, seen
+
+
 # -- certificates ----------------------------------------------------------------
 
 def test_certificate_roundtrip_b0():
@@ -401,14 +537,40 @@ def test_generation_checks_each_node_once(monkeypatch, args):
 @pytest.mark.parametrize("args", ONE_PER_CASE)
 def test_verification_parses_each_claim_once(monkeypatch, args):
     """verify_certificate reads each node's claim once, in order: the edge
-    the check derives is the fact that later nodes cite."""
-    cert = gen_certificate(ProofContext(*args))
+    the check derives is the fact that later nodes cite.  A whole
+    generation parses no more than that, because the builder links the
+    edge it built each claim from."""
     parsed = []
     claim_edge = certificates._claim_edge
     monkeypatch.setattr(certificates, "_claim_edge",
                         lambda claim, ctx: parsed.append(claim) or claim_edge(claim, ctx))
+    cert = gen_certificate(ProofContext(*args))
+    assert parsed == [node.claim for node in cert.nodes]
+    parsed.clear()
     assert verify_certificate(cert, cert.context.canonical_template()).ok
     assert parsed == [node.claim for node in cert.nodes]
+
+
+class _CountingDSU(certificates.ParityDSU):
+    made = 0
+
+    def __init__(self):
+        type(self).made += 1
+        super().__init__()
+
+
+@pytest.mark.parametrize("args,conclusion,made", [
+    ((1, 3, "4a", 13, 1), "contradiction", 0), ((2, 4, "4a", 29, 1), "contradiction", 0),
+    ((1, 3, "4a", 7, 0), "tame_base", 1), ((1, 3, "4a", 31, 0), "tame_base", 1)])
+def test_verification_builds_no_union_find_per_node(monkeypatch, args, conclusion, made):
+    """Node checks read flat classes; only the tame_base replay of all the
+    claims builds a union-find, once, whatever the node count."""
+    cert = gen_certificate(ProofContext(*args))
+    assert cert.conclusion == conclusion and len(cert.nodes) > 50
+    monkeypatch.setattr(_CountingDSU, "made", 0)
+    monkeypatch.setattr(certificates, "ParityDSU", _CountingDSU)
+    assert verify_certificate(cert, cert.context.canonical_template()).ok
+    assert _CountingDSU.made == made
 
 
 def test_pigeonhole_interval_leaves_out_height_zero():
@@ -464,6 +626,39 @@ def test_failed_self_check_is_not_a_small_p(first_distinct_claim_broken):
     """find_minimal_p skips a p that is too small, but not a generator bug."""
     with pytest.raises(InternalCheckError, match="at node 0 "):
         find_minimal_p(1, 3, "4a", 0)
+
+
+FIXTURE_P7 = Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json"
+
+
+@pytest.mark.parametrize("field,reason", [("claim", "claim is not a JSON object"),
+                                          ("justify", "justification is not a JSON object")])
+def test_node_that_is_not_an_object_is_invalid_there(field, reason):
+    obj = json.loads(FIXTURE_P7.read_text())
+    for i in (0, 5, len(obj["nodes"]) - 1):
+        for value in (None, 1, True, "x", [], [obj["nodes"][i][field]]):
+            mutated = json.loads(json.dumps(obj))
+            mutated["nodes"][i][field] = value
+            result = verify_certificate(certificate_from_json(json.dumps(mutated)), T13)
+            assert (result.ok, result.failed_node, result.reason) == (False, i, reason)
+
+
+def test_checker_bug_exits_3(tmp_path, monkeypatch, capsys):
+    """Only KeyError, TypeError and ValueError mean a malformed node; any
+    other exception inside the checker is a bug, not a rejection."""
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(certificates, "is_plausible_1d", broken)
+    tpath = tmp_path / "t.tmpl"
+    tpath.write_text("template\npair rin 1 3 nae 3\nend\n", encoding="utf-8")
+    capsys.readouterr()
+    out = io.StringIO()
+    code = run(["verify", str(FIXTURE_P7), "-t", str(tpath)], out)
+    err = capsys.readouterr().err.splitlines()
+    assert (code, out.getvalue()) == (3, "")
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "node 0" in err[0] and "ZeroDivisionError" in err[0], err[0]
 
 
 def test_complement_blocks():
