@@ -48,8 +48,22 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _block_field(values, p: int) -> tuple:
+    """A block vector read from a justification: p integers.  The length
+    is checked before anything else reads the entries."""
+    values = tuple(values)
+    if len(values) != p:
+        raise CertificateError(f"block vector has {len(values)} entries, not p={p}")
+    return _ints(values, "block height")
+
+
 def _ints(values, what: str) -> tuple:
-    return tuple(_int(v, what) for v in values)
+    """Read a list of integer fields, each as strictly as `_int` reads one."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise CertificateError(f"{what} {v!r} is not an integer")
+    return values
 
 
 PRESETS = {
@@ -261,7 +275,7 @@ def area(z, p: Optional[int] = None) -> Fraction:
     blocks = _blocks_of(z)
     if p is None:
         p = len(blocks)
-    if len(blocks) != p or any(not (0 <= v <= p) for v in blocks):
+    if len(blocks) != p or (blocks and (min(blocks) < 0 or max(blocks) > p)):
         raise CertificateError(f"bad block vector {blocks} for p={p}")
     return Fraction(sum(blocks), p * p)
 
@@ -300,23 +314,29 @@ class AlmostRectangle:
 
 
 def as_almost_rectangle(z) -> Optional[AlmostRectangle]:
-    """Recognize a block vector as an almost rectangle, or None."""
+    """Recognize a block vector as an almost rectangle, or None.
+
+    Linear in the length: a vector of two values is a rotation of its
+    canonical form exactly when the run of the value it does not start with
+    is contiguous, and the z1 run starts at the one z2 -> z1 boundary."""
     blocks = _blocks_of(z)
     p = len(blocks)
-    if any(not (0 <= v <= p) for v in blocks):
+    if not blocks:
         return None
-    values = sorted(set(blocks), reverse=True)
-    if len(values) == 1:
-        return AlmostRectangle(blocks, values[0], values[0], p, 0)
-    if len(values) != 2:
+    z2, z1 = min(blocks), max(blocks)
+    if z2 < 0 or z1 > p:
         return None
-    z1, z2 = values
+    if z1 == z2:
+        return AlmostRectangle(blocks, z1, z1, p, 0)
     count1 = blocks.count(z1)
-    canonical = tuple([z1] * count1 + [z2] * (p - count1))
-    for shift in range(p):
-        if _rot(canonical, shift) == blocks:
-            return AlmostRectangle(blocks, z1, z2, count1, shift)
-    return None
+    if count1 + blocks.count(z2) != p:
+        return None  # a third value
+    inner, length = (z2, p - count1) if blocks[0] == z1 else (z1, count1)
+    start = blocks.index(inner)
+    if blocks[start:start + length].count(inner) != length:
+        return None  # the inner run is broken
+    shift = start + length if inner == z2 else start
+    return AlmostRectangle(blocks, z1, z2, count1, shift % p)
 
 
 def complement_blocks(z) -> tuple:
@@ -342,12 +362,16 @@ def near_threshold(z, ctx: ProofContext) -> bool:
 def is_plausible_1d(ks, ctx: StaggerParams) -> bool:
     """s run lengths in 0..n totalling r*n (at most r*n in case 2); `ctx` is
     a `StaggerParams`."""
-    ks = list(ks)
+    ks = tuple(ks)
     if len(ks) != ctx.s:
         raise CertificateError(f"need {ctx.s} entries, got {len(ks)}")
-    if any(not (0 <= k <= ctx.n) for k in ks):
-        return False
-    return ctx.meets_budget(sum(ks), ctx.r * ctx.n)
+    n = ctx.n
+    total = 0
+    for k in ks:
+        if not 0 <= k <= n:
+            return False
+        total += k
+    return ctx.meets_budget(total, ctx.r * n)
 
 
 def is_plausible_2d(tuples, ctx: StaggerParams) -> bool:
@@ -436,6 +460,14 @@ def complete_plausible(z, m: int, ctx: ProofContext):
     rotations of z (so they share z's value and area); l tops every column up
     to r*p, and comes out an almost rectangle of the same step size.
     """
+    ar, l_ar = _complete(z, m, ctx)
+    rows = [_rot(ar.canonical(), (i * ar.count1 + ar.shift) % ctx.p) for i in range(m)]
+    return [EvalTuple(row) for row in rows], l_ar
+
+
+def _complete(z, m: int, ctx: ProofContext) -> Tuple[AlmostRectangle, AlmostRectangle]:
+    """`complete_plausible` without the rows: (z, l) as almost rectangles,
+    in time linear in p whatever m is."""
     ar = as_almost_rectangle(z)
     if ar is None:
         raise CertificateError("completion needs an almost rectangle")
@@ -447,17 +479,30 @@ def complete_plausible(z, m: int, ctx: ProofContext):
     if gap > Fraction(1, ctx.s ** ctx.exponent("producing")):
         raise CertificateError("area too far from the threshold to complete")
     p = ctx.p
-    rows = [_rot(ar.canonical(), (i * ar.count1 + ar.shift) % p) for i in range(m)]
-    l_blocks = []
-    for i in range(p):
-        v = ctx.r * p - sum(row[i] for row in rows)
+    want = ctx.r * p
+    l_blocks = tuple([want - total for total in _stagger_sums(ar, m)])
+    for i, v in enumerate(l_blocks):
         if not (0 <= v <= p):
             raise CertificateError(f"completion column {i} out of range ({v})")
-        l_blocks.append(v)
-    l_ar = as_almost_rectangle(tuple(l_blocks))
+    l_ar = as_almost_rectangle(l_blocks)
     if l_ar is None or l_ar.step != ar.step:
         raise CertificateError("completion is not an almost rectangle of equal step")
-    return [EvalTuple(row) for row in rows], l_ar
+    return ar, l_ar
+
+
+def _stagger_sums(ar: AlmostRectangle, m: int) -> List[int]:
+    """The column sums of ar's m staggered rows, without building them.
+
+    Row i holds z1 on the count1 columns from (i*count1 + shift) mod p, so
+    the z1 runs tile the m*count1 columns from shift, going round the
+    circle: with m*count1 = q*p + rem, the rem columns from shift hold z1
+    in q + 1 rows and the others in q rows."""
+    p = ar.p
+    q, rem = divmod(m * ar.count1, p)
+    sums = [m * ar.z2 + ar.step * q] * p
+    for j in range(ar.shift, ar.shift + rem):
+        sums[j % p] += ar.step
+    return sums
 
 
 def halve(l) -> Tuple[AlmostRectangle, AlmostRectangle]:
@@ -499,11 +544,11 @@ def _term_to_json(term):
 
 def _term_from_json(obj):
     if "sigma" in obj:
-        return sigma_term(_int(obj["sigma"], "sigma index"))
-    return rect_term(_ints(obj["blocks"], "block height"))
+        return "sigma", _int(obj["sigma"], "sigma index")
+    return "rect", _ints(obj["blocks"], "block height")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Node:
     id: int
     claim: dict
@@ -593,16 +638,19 @@ def _claim_bit(claim: dict) -> int:
     return bit
 
 
+_SIGMA0 = sigma_term(0)
+
+
 def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
     """The one parity edge (x, y, parity) a claim states."""
     kind = claim["kind"]
-    if kind == "forced":
-        return sigma_term(_int(claim["k"], "claim k")), sigma_term(0), _claim_bit(claim)
-    if kind == "absolute":
-        return sigma_term(_int(claim["k"], "claim k")), ZERO, _claim_bit(claim)
-    if kind in ("distinct", "equal"):
+    if kind == "distinct" or kind == "equal":
         return (_term_from_json(claim["a"]), _term_from_json(claim["b"]),
                 int(kind == "distinct"))
+    if kind == "forced":
+        return ("sigma", _int(claim["k"], "claim k")), _SIGMA0, _claim_bit(claim)
+    if kind == "absolute":
+        return ("sigma", _int(claim["k"], "claim k")), ZERO, _claim_bit(claim)
     if kind == "tame":
         blocks = _ints(claim["blocks"], "block height")
         return rect_term(blocks), sigma_term(0), int(area(blocks, ctx.p) > ctx.theta)
@@ -623,22 +671,27 @@ class ParityDSU:
         self.size: Dict[tuple, int] = {}
 
     def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+        parent = self.parent
+        up = parent.get(x)
+        if up is None:
+            parent[x] = x
             self.offset[x] = 0
             self.size[x] = 1
             return x, 0
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        root = x
+        if up == x:
+            return x, 0
+        path = [x]
+        while parent[up] != up:
+            path.append(up)
+            up = parent[up]
+        # up is the root; point the path straight at it, top-down
+        offset = self.offset
         acc = 0
         for y in reversed(path):
-            acc ^= self.offset[y]
-            self.offset[y] = acc
-            self.parent[y] = root
-        return root, self.offset[path[0]] if path else 0
+            acc ^= offset[y]
+            offset[y] = acc
+            parent[y] = up
+        return up, acc
 
     def relation(self, x, y) -> Optional[int]:
         rx, px = self.find(x)
@@ -661,7 +714,7 @@ class ParityDSU:
         return "new"
 
 
-@dataclass
+@dataclass(slots=True)
 class QConstraint:
     """Image membership of one plausible family: the multiset of term values
     has its weight inside the allowed set.
@@ -685,20 +738,25 @@ def _flat_classes(fact_edges) -> Optional[Dict[tuple, tuple]]:
     cls: Dict[tuple, tuple] = {}
     members: Dict[tuple, list] = {}
     for x, y, parity in fact_edges:
-        cx, cy = cls.get(x), cls.get(y)
-        if cx is None and cy is None:
-            if x == y:
-                if parity:
-                    return None
-                continue
-            cls[x], cls[y] = (x, 0), (x, parity)
-            members[x] = [x, y]
+        cx = cls.get(x)
+        cy = cls.get(y)
+        if cx is None:
+            if cy is None:
+                if x == y:
+                    if parity:
+                        return None
+                    continue
+                cls[x] = (x, 0)
+                cls[y] = (x, parity)
+                members[x] = [x, y]
+            else:
+                root = cy[0]
+                cls[x] = (root, cy[1] ^ parity)
+                members[root].append(x)
         elif cy is None:
-            cls[y] = cx[0], cx[1] ^ parity
-            members[cx[0]].append(y)
-        elif cx is None:
-            cls[x] = cy[0], cy[1] ^ parity
-            members[cy[0]].append(x)
+            root = cx[0]
+            cls[y] = (root, cx[1] ^ parity)
+            members[root].append(y)
         else:
             (rx, px), (ry, py) = cx, cy
             if rx == ry:
@@ -715,58 +773,66 @@ def _flat_classes(fact_edges) -> Optional[Dict[tuple, tuple]]:
     return cls
 
 
-def _survivors(con: QConstraint, find, extra_terms=()):
+def _fold(terms, cls: Dict[tuple, tuple], zroot, zbit: int, twin: bool):
+    """A family's weight as base + the gains of the free roots set to 1.
+
+    `cls` maps a term to its (root, parity); a term it lacks is its own
+    root.  In the complemented family (twin) a flip-marked term counts
+    mult - weight.  ZERO's root is not free: its gain goes into the base at
+    its bit."""
+    base = 0
+    gain: Dict[tuple, int] = {}
+    for t, mult, flip in terms:
+        root, par = cls.get(t) or (t, 0)
+        if twin and flip:
+            par ^= 1
+        if par:  # the term is 1 exactly when its root is 0
+            base += mult
+            mult = -mult
+        gain[root] = gain.get(root, 0) + mult
+    base += gain.pop(zroot, 0) * zbit
+    return base, gain
+
+
+def _survivors(con: QConstraint, cls: Dict[tuple, tuple], extra_roots=()):
     """The assignments of the free classes that the constraint admits.
 
-    `find` maps a term to its (root, parity).  The free roots are the roots
-    of the constraint's and the extra terms' classes, ZERO's root left out;
-    free root i is bit i of an assignment mask, and ZERO's root takes the
-    bit that makes ZERO itself 0.  Returns (ZERO's root, its bit, the free
-    roots, the surviving masks).  Raises if too many roots are free.
+    `cls` maps a term to its (root, parity); a term it lacks is its own root.
+    The free roots are the roots of the constraint's classes and the extra
+    roots, ZERO's root left out; free root i is bit i of an assignment
+    mask, and ZERO's root takes the bit that makes ZERO itself 0.  Returns
+    (ZERO's root, its bit, the free roots, the surviving masks).  Raises if
+    too many roots are free.
     """
-    zroot, zbit = find(ZERO)
-    # the weights with every free root at 0, and what setting root i adds
-    index: Dict[tuple, int] = {}
-    ones = twin_ones = 0
-    gain: List[int] = []
-    twin_gain: List[int] = []
-    for t, mult, flip in con.terms:
-        root, par = find(t)
-        if root == zroot:
-            par ^= zbit
-        else:
-            i = index.get(root)
-            if i is None:
-                i = index[root] = len(gain)
-                gain.append(0)
-                twin_gain.append(0)
-            step = -mult if par else mult
-            gain[i] += step
-            twin_gain[i] += -step if flip else step
-        ones += mult * par
-        twin_ones += mult * (par ^ flip)
-    for t in extra_terms:
-        root = find(t)[0]
-        if root != zroot and root not in index:
-            index[root] = len(gain)
-            gain.append(0)
-            twin_gain.append(0)
+    zroot, zbit = cls.get(ZERO) or (ZERO, 0)
+    base, gain = _fold(con.terms, cls, zroot, zbit, False)
+    for root in extra_roots:
+        if root != zroot and root not in gain:
+            gain[root] = 0
     if len(gain) > MAX_FREE_ROOTS:
         raise CertificateError("too many undetermined classes for a local check")
+    free = list(gain)
     weights = con.weights
-    masks = [m for m, w in enumerate(_mask_sums(ones, gain)) if w in weights]
+    masks = []
+    m = 0
+    for w in _mask_sums(base, gain.values()):
+        if w in weights:
+            masks.append(m)
+        m += 1
     if con.twin:
-        twin_sums = _mask_sums(twin_ones, twin_gain)
+        twin_base, twin_gain = _fold(con.terms, cls, zroot, zbit, True)
+        twin_sums = _mask_sums(twin_base, [twin_gain.get(r, 0) for r in free])
         masks = [m for m in masks if twin_sums[m] in weights]
-    return zroot, zbit, list(index), masks
+    return zroot, zbit, free, masks
 
 
-def _mask_sums(base: int, gains: List[int]) -> List[int]:
+def _mask_sums(base: int, gains) -> List[int]:
     """The weight under every mask: base plus gains[i] for each set bit i
     (bit i doubles the list)."""
     sums = [base]
     for g in gains:
-        sums += [w + g for w in sums]
+        for i in range(len(sums)):
+            sums.append(sums[i] + g)
     return sums
 
 
@@ -791,7 +857,7 @@ def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
         if px ^ py != parity:
             return "claim contradicts the referenced facts"
         return edge
-    zroot, zbit, free, masks = _survivors(con, lambda t: cls.get(t) or (t, 0), (x, y))
+    zroot, zbit, free, masks = _survivors(con, cls, (rx, ry))
     if not masks:
         return "no consistent assignment survives (inconsistent node)"
     # x ^ y == parity holds in a mask when the bits of x's and y's roots XOR
@@ -803,8 +869,9 @@ def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
             want ^= zbit
         else:
             select ^= 1 << free.index(root)
-    if any((m & select).bit_count() & 1 != want for m in masks):
-        return "claim is not forced by the constraint"
+    for m in masks:
+        if (m & select).bit_count() & 1 != want:
+            return "claim is not forced by the constraint"
     return edge
 
 
@@ -813,11 +880,15 @@ def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
 # ---------------------------------------------------------------------------
 
 def _ktuple_constraint(ks, weights: frozenset, twin: bool) -> QConstraint:
-    mult = dict.fromkeys(sorted(ks), 0)
+    """The family of one-run tuples of lengths ks: one term per distinct
+    length, with its multiplicity, in order of first occurrence."""
+    mult: Dict[int, int] = {}
     for k in ks:
-        mult[k] += 1
-    terms = tuple([(sigma_term(k), m, True) for k, m in mult.items()])
-    return QConstraint(terms, weights, twin)
+        mult[k] = mult.get(k, 0) + 1
+    terms = []
+    for k, m in mult.items():
+        terms.append((("sigma", k), m, True))
+    return QConstraint(tuple(terms), weights, twin)
 
 
 def _twin_available(ks, ctx: ProofContext) -> bool:
@@ -886,8 +957,10 @@ def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
     while changed and not contradiction:
         changed = False
         for con in constraints:
+            cls = {t: dsu.find(t) for t, _, _ in con.terms}
+            cls[ZERO] = dsu.find(ZERO)
             try:
-                zroot, zbit, free, masks = _survivors(con, dsu.find)
+                zroot, zbit, free, masks = _survivors(con, cls)
             except CertificateError:
                 continue
             if not masks:
@@ -950,8 +1023,8 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
     plausible family (and, with a twin, so do their complements)."""
     j = node.justify
     halving = j["tag"] == "halving"
-    z = _ints(j["blocks"], "block height")
-    l = _ints(j["l"], "block height")
+    z = _block_field(j["blocks"], ctx.p)
+    l = _block_field(j["l"], ctx.p)
     m = _int(j["m"], "row count")
     pad = _int(j["pad"], "zero padding")
     twin = j["twin"]
@@ -967,64 +1040,77 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
     if twin != ctx.has_neq:
         return "complement flag disagrees with the case"
     try:
-        rows, l_ar = complete_plausible(z, m, ctx)
+        ar, l_ar = _complete(z, m, ctx)
     except CertificateError as e:
         return f"completion rejected: {e}"
     if l_ar.blocks != l:
         return "stated completion disagrees with the construction"
     members = [l]
     if halving:
-        members = [_ints(j["l1"], "block height"), _ints(j["l2"], "block height")]
+        members = [_block_field(j["l1"], ctx.p), _block_field(j["l2"], ctx.p)]
         try:
             h1, h2 = halve(l)
         except CertificateError as e:
             return f"halving rejected: {e}"
         if [h1.blocks, h2.blocks] != members:
             return "stated halves disagree with the construction"
-    family = [z] + [r.blocks for r in rows[1:]] + members
-    if not is_plausible_2d(family + [(0,) * ctx.p] * pad, ctx):
-        return "assembled family is not plausible"
+    # The family is z's m staggered rows (z is the first), the members and
+    # pad zero rows; its column sums come without building the rows, whose
+    # entries are z's.  Its complement flips every row but the padding.
+    sums = _stagger_sums(ar, m)
+    for blocks in members:
+        if min(blocks) < 0 or max(blocks) > ctx.p:
+            return "assembled family is not plausible"
+        sums = [a + b for a, b in zip(sums, blocks)]
+    budget = ctx.r * ctx.p
+    for total in sums:
+        if not ctx.meets_budget(total, budget):
+            return "assembled family is not plausible"
     if twin:
         if not template_has_neq:
             return "complement rule needs a disequality pair"
-        comp = [complement_blocks(bl) for bl in family]
-        if not is_plausible_2d(comp + [(0,) * ctx.p] * pad, ctx):
-            return "complemented family is not plausible"
-    con = _padded_2d_constraint(z, members, pad, q_weights, twin, len(rows))
+        full = (m + len(members)) * ctx.p
+        for total in sums:
+            if not ctx.meets_budget(full - total, budget):
+                return "complemented family is not plausible"
+    con = _padded_2d_constraint(z, members, pad, q_weights, twin, m)
     return _deduce_claim(node.claim, ctx, con, facts)
 
 
 def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
-                facts_by_id, template_has_neq: bool) -> str | tuple:
+                edges: list, template_has_neq: bool) -> str | tuple:
     """Re-derive one node's claim; its parity edge when sound, else the
     reason string.
 
-    `facts_by_id` maps each earlier sound node's id to its claim's parity
-    edge.  A missing or loosely typed field raises KeyError, TypeError or
-    ValueError instead; the verifier reports it as a malformed node."""
-    if type(node.claim) is not dict:
+    `edges` holds the parity edge of each earlier node's claim, by id; the
+    node's id is its index.  A missing or loosely typed field raises
+    KeyError, TypeError or ValueError instead; the verifier reports it as a
+    malformed node."""
+    claim, justify, refs = node.claim, node.justify, node.refs
+    if type(claim) is not dict:
         return "claim is not a JSON object"
-    if type(node.justify) is not dict:
+    if type(justify) is not dict:
         return "justification is not a JSON object"
-    for rid in node.refs:
+    facts = []
+    for rid in refs:
         if type(rid) is not int:
             return f"reference {rid!r} is not an integer"
-        if rid not in facts_by_id or rid >= node.id:
+        if not 0 <= rid < len(edges):
             return f"reference {rid} is not an earlier node"
-    facts = [facts_by_id[rid] for rid in node.refs]
-    tag = node.justify.get("tag")
+        facts.append(edges[rid])
+    tag = justify.get("tag")
 
     if tag == "closure":  # the most frequent rule
-        return _deduce_claim(node.claim, ctx, None, facts)
+        return _deduce_claim(claim, ctx, None, facts)
 
     if tag == "plausible1d":
-        tuples = node.justify.get("tuples")
+        tuples = justify.get("tuples")
         if not isinstance(tuples, list) or len(tuples) != 1:
             return "plausible tuple nodes carry exactly one tuple"
-        ks = list(_ints(tuples[0], "tuple entry"))
+        ks = _ints(tuples[0], "tuple entry")
         if not is_plausible_1d(ks, ctx):
-            return f"tuple {ks} is not plausible"
-        twin = node.justify.get("twin")
+            return f"tuple {list(ks)} is not plausible"
+        twin = justify.get("twin")
         if type(twin) is not bool:
             return "twin flag is not true or false"
         if twin:
@@ -1032,8 +1118,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
                 return "complement rule needs a disequality pair"
             if not (ctx.twins and _twin_available(ks, ctx)):
                 return "complement rule unavailable for this tuple"
-        con = _ktuple_constraint(ks, q_weights, twin)
-        return _deduce_claim(node.claim, ctx, con, facts)
+        return _deduce_claim(claim, ctx, _ktuple_constraint(ks, q_weights, twin), facts)
 
     if tag == "negation":
         if not template_has_neq:
@@ -1044,7 +1129,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
                 return "negation index out of range"
             edge = (sigma_term(k), sigma_term(ctx.n - k), 1)
         else:
-            blocks = _ints(node.justify["blocks"], "block height")
+            blocks = _block_field(node.justify["blocks"], ctx.p)
             if as_almost_rectangle(blocks) is None:
                 return "negation of a non-rectangle"
             edge = (rect_term(blocks), rect_term(complement_blocks(blocks)), 1)
@@ -1053,7 +1138,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _deduce_claim(node.claim, ctx, None, facts + [edge])
 
     if tag == "double_cyclicity":
-        blocks = _ints(node.justify["blocks"], "block height")
+        blocks = _block_field(node.justify["blocks"], ctx.p)
         k = _int(node.justify["k"], "flat index")
         shift = _int(node.justify["shift"], "shift")
         ar = as_almost_rectangle(blocks)
@@ -1077,6 +1162,13 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         z1h = _int(node.justify["z1"], "first height")
         m = _int(node.justify["m"], "row split")
         p, b, theta = ctx.p, ctx.b, ctx.theta
+        # The claim's rectangles are sized first: the file bounds their
+        # length, so the p-entry rectangles below are built only when the
+        # certificate itself holds 2p entries.
+        for side in (node.claim.get("a"), node.claim.get("b")):
+            if not (type(side) is dict and type(side.get("blocks")) is list
+                    and len(side["blocks"]) == p):
+                return "claim does not name the two finale rectangles"
         if m != (p - 1) // 2:
             return "wrong row split for the pigeonhole step"
         if not (theta * p - 2 * b < z21 < z22 < theta * p):
@@ -1145,73 +1237,68 @@ class _CertBuilder:
         self.abs_zero_id: Optional[int] = None
         self.tame_ids: Dict[tuple, int] = {}
 
-    def _link(self, x, y, parity: int, nid: int):
-        # A builder claim either names a new term or relates two terms the
-        # facts already relate, so the facts form trees and a claim between
-        # two linked terms adds nothing.
-        if x not in self.up and y not in self.up:
-            if y == ZERO:
-                x, y = y, x
-            self.up[x] = None  # the constant, when present, is the root
-            self.up[y] = (x, parity, nid)
-        elif y not in self.up:
-            self.up[y] = (x, parity, nid)
-        elif x not in self.up:
-            self.up[x] = (y, parity, nid)
-
-    def _to_root(self, t) -> Tuple[tuple, int, List[int]]:
-        """t's root, t's parity to it, and the one node between (none when
-        t is the root), emitting the lemmas that link t straight to it."""
-        path = []
-        while self.up[t] is not None:
-            path.append(t)
-            t = self.up[t][0]
-        root = t
-        # path[-1] links straight to the root; lemmas take the rest top-down.
+    def _to_root(self, t) -> Tuple[tuple, int, Optional[int]]:
+        """t's root, t's parity to it, and the one node between (None when
+        t is the root).  A term further down gets a closure lemma, top-down,
+        that links it straight to the root."""
+        link = self.up[t]
+        if link is None:
+            return t, 0, None
+        parent, parity, nid = link
+        if self.up[parent] is None:
+            return link
         # Terms two links below the constant are rectangles, which no rule
         # asks about, so a lemma never relates a term to the constant.
-        for term in reversed(path[:-1]):
-            parent, parity, nid = self.up[term]
-            _, parent_parity, parent_id = self.up[parent]
-            parity ^= parent_parity
-            claim = (claim_distinct if parity else claim_equal)(term, root)
-            lemma = self.emit(claim, (term, root, parity), {"tag": "closure"},
-                              [nid, parent_id])
-            self.up[term] = (root, parity, lemma)
-        if not path:
-            return root, 0, []
-        _, parity, nid = self.up[path[0]]
-        return root, parity, [nid]
-
-    def explain(self, x, y) -> Optional[Tuple[int, List[int]]]:
-        """The fact path x..y: (parity, node ids along the way)."""
-        if x == y:
-            return 0, []
-        if x not in self.up or y not in self.up:
-            return None
-        rx, px, ids_x = self._to_root(x)
-        ry, py, ids_y = self._to_root(y)
-        if rx != ry:
-            return None
-        # the links above the meeting point appear on both sides
-        return px ^ py, sorted(set(ids_x) ^ set(ids_y))
+        root, parent_parity, parent_id = self._to_root(parent)
+        parity ^= parent_parity
+        claim = (claim_distinct if parity else claim_equal)(t, root)
+        lemma = self.emit(claim, (t, root, parity), {"tag": "closure"}, [nid, parent_id])
+        self.up[t] = link = (root, parity, lemma)
+        return link
 
     def refs_for(self, pairs) -> List[int]:
-        ids = set()
+        """The nodes that relate the two terms of each pair: the one node
+        linking each term straight to their common root.  Unsorted and maybe
+        repeated; `emit` sorts them once."""
+        up = self.up
+        ids: List[int] = []
         for x, y in pairs:
-            got = self.explain(x, y)
-            if got is None:
-                raise GenerationError(f"no established fact links {x} and {y}")
-            ids.update(got[1])
-        return sorted(ids)
+            if x == y:
+                continue
+            if x in up and y in up:
+                rx, _, nx = self._to_root(x)
+                ry, _, ny = self._to_root(y)
+                if rx == ry:
+                    # a root has no link; two terms never share one
+                    if nx is not None:
+                        ids.append(nx)
+                    if ny is not None:
+                        ids.append(ny)
+                    continue
+            raise GenerationError(f"no established fact links {x} and {y}")
+        return ids
 
     def emit(self, claim: dict, edge: tuple, justify: dict, refs) -> int:
         """Append a node; `edge` is the parity edge the claim states, from
         the terms the caller built the claim of."""
-        node = Node(len(self.nodes), claim, justify, tuple(sorted(set(refs))))
-        self.nodes.append(node)
-        self._link(*edge, node.id)
-        return node.id
+        nid = len(self.nodes)
+        self.nodes.append(Node(nid, claim, justify, tuple(sorted(set(refs)))))
+        # A builder claim either names a new term or relates two terms the
+        # facts already relate, so the facts form trees and a claim between
+        # two linked terms adds nothing.
+        x, y, parity = edge
+        up = self.up
+        if x not in up:
+            if y not in up:
+                if y == ZERO:
+                    x, y = y, x
+                up[x] = None  # the constant, when present, is the root
+                up[y] = (x, parity, nid)
+            else:
+                up[x] = (y, parity, nid)
+        elif y not in up:
+            up[y] = (x, parity, nid)
+        return nid
 
     def emit_tame(self, blocks: tuple, justify: dict, refs) -> int:
         # the area is above theta exactly when the block sum is above a
@@ -1222,13 +1309,16 @@ class _CertBuilder:
 
     def stepone_chain(self) -> List[Node]:
         """Emit the case's chain; return its nodes without the lemmas."""
+        self._emit_stepone()
+        return [n for n in self.nodes if n.justify["tag"] != "closure"]
+
+    def _emit_stepone(self):
         if self.ctx.case == "2":
             self._chain_case_2()
         elif self.ctx.case == "1":
             self._chain_case_1()
         else:
             self._chain_case_4()
-        return [n for n in self.nodes if n.justify["tag"] != "closure"]
 
     def _chain_case_2(self):
         ctx = self.ctx
@@ -1255,6 +1345,7 @@ class _CertBuilder:
                             {"tag": "plausible1d", "tuples": [ks], "twin": False}, refs)
             neg_ids[k] = self.emit(claim_absolute(n - k, 1), (sigma_term(n - k), ZERO, 1),
                                    {"tag": "negation", "k": k}, [nid])
+        self.abs_zero_id = nid  # the last tuple states u_0 = 0
 
     def _chain_case_4(self):
         """Shared by the not-all-equal cases and the exact r = s/2 case, which
@@ -1264,8 +1355,9 @@ class _CertBuilder:
         u = sigma_term
 
         def emit_distinct(x, y, ks, known_pairs):
-            refs = self.refs_for([pq for pq in known_pairs if pq[0] != pq[1]])
-            return self.emit(claim_distinct(u(x), u(y)), (u(x), u(y), 1),
+            refs = self.refs_for(known_pairs)
+            x, y = u(x), u(y)
+            return self.emit(claim_distinct(x, y), (x, y, 1),
                              {"tag": "plausible1d", "tuples": [list(ks)],
                               "twin": _twin_available(ks, ctx)}, refs)
 
@@ -1298,10 +1390,7 @@ class _CertBuilder:
                           [(u(a + i), u(a)), (u(above), u(a))])
 
     def build_chain(self):
-        self.stepone_chain()
-        for node in self.nodes:
-            if node.claim == claim_absolute(0, 0):
-                self.abs_zero_id = node.id
+        self._emit_stepone()
         a = self.ctx.a
         order = [0, a]
         for i in range(1, a + 1):
@@ -1309,20 +1398,16 @@ class _CertBuilder:
         for k in order:
             if k in self.forced_ids:
                 continue
-            refs = self.refs_for([(sigma_term(k), sigma_term(0))])
+            x = sigma_term(k)
+            refs = self.refs_for([(x, _SIGMA0)])
             bit = self.ctx.tame_bit(k)
-            self.forced_ids[k] = self.emit(claim_forced(k, bit),
-                                           (sigma_term(k), sigma_term(0), bit),
+            self.forced_ids[k] = self.emit(claim_forced(k, bit), (x, _SIGMA0, bit),
                                            {"tag": "closure"}, refs)
 
     # -- induction over almost rectangles --
 
     def _case_refs(self) -> List[int]:
-        if self.ctx.case == "1":
-            if self.abs_zero_id is None:
-                raise GenerationError("missing the zero-value anchor")
-            return [self.abs_zero_id]
-        return []
+        return [self.abs_zero_id] if self.ctx.case == "1" else []
 
     def ensure_tame(self, blocks, depth: int = 0) -> int:
         ctx = self.ctx
@@ -1360,7 +1445,7 @@ class _CertBuilder:
     def _try_halving(self, blocks, depth: int) -> Optional[int]:
         ctx = self.ctx
         try:
-            rows, l_ar = complete_plausible(blocks, ctx.m_half, ctx)
+            _, l_ar = _complete(blocks, ctx.m_half, ctx)
             h1, h2 = halve(l_ar.blocks)
         except CertificateError:
             return None
@@ -1385,7 +1470,7 @@ class _CertBuilder:
     def _flip(self, blocks, depth: int) -> int:
         ctx = self.ctx
         try:
-            rows, w_ar = complete_plausible(blocks, ctx.m_flip, ctx)
+            _, w_ar = _complete(blocks, ctx.m_flip, ctx)
         except CertificateError as e:
             raise GenerationError(f"p too small: {e}")
         sub = self.ensure_tame(w_ar.blocks, depth + 1)
@@ -1520,12 +1605,13 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
         return VerificationResult(False, None, "template does not match the context")
     q_weights, has_neq = matched
 
-    facts_by_id: Dict[int, tuple] = {}
+    edges: List[tuple] = []  # edges[i]: node i's claim as a parity edge
     for idx, node in enumerate(cert.nodes):
         try:
-            if _int(node.id, "node id") != idx:
-                return VerificationResult(False, idx, "node ids must be sequential")
-            got = _check_node(node, ctx, q_weights, facts_by_id, has_neq)
+            if type(node.id) is not int or node.id != idx:
+                if _int(node.id, "node id") != idx:
+                    return VerificationResult(False, idx, "node ids must be sequential")
+            got = _check_node(node, ctx, q_weights, edges, has_neq)
         except KeyError as e:
             got = f"malformed node: missing field {e}"
         except (TypeError, ValueError) as e:  # CertificateError among them
@@ -1535,16 +1621,16 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
             # the checker is not a rejected certificate
             raise InternalCheckError(f"the checker failed at node {idx}: "
                                      f"{type(e).__name__}: {e}") from e
-        if isinstance(got, str):
+        if type(got) is str:
             return VerificationResult(False, idx, got)
-        facts_by_id[idx] = got
+        edges.append(got)
 
     if cert.conclusion == "tame_base":
         if ctx.b != 0:
             return VerificationResult(False, None,
                                       "base-only conclusion requires b = 0")
         dsu = ParityDSU()
-        for idx, (x, y, parity) in facts_by_id.items():
+        for idx, (x, y, parity) in enumerate(edges):
             if dsu.union(x, y, parity) == "conflict":
                 return VerificationResult(False, idx,
                                           "claims are mutually inconsistent")

@@ -83,6 +83,55 @@ def test_almost_rectangle_recognition():
     assert const.step == 0
 
 
+def _rotation_search(blocks):
+    """The reference recognizer: try every rotation of the canonical form
+    (quadratic in the length).  (z1, z2, count1, shift) or None."""
+    p = len(blocks)
+    if any(not (0 <= v <= p) for v in blocks):
+        return None
+    values = sorted(set(blocks), reverse=True)
+    if len(values) == 1:
+        return values[0], values[0], p, 0
+    if len(values) != 2:
+        return None
+    z1, z2 = values
+    count1 = blocks.count(z1)
+    canonical = tuple([z1] * count1 + [z2] * (p - count1))
+    for shift in range(p):
+        if certificates._rot(canonical, shift) == blocks:
+            return z1, z2, count1, shift
+    return None
+
+
+def test_almost_rectangle_recognition_matches_rotation_search():
+    """The linear recognizer against the rotation search on seeded vectors:
+    rotated almost rectangles, two values placed at random, and entries
+    from just outside 0..p."""
+    rng = random.Random(1931)
+    found = 0
+    for _ in range(4000):
+        p = rng.randint(0, 12)
+        kind = rng.randrange(3)
+        if kind == 0 and p:
+            z2 = rng.randint(0, p)
+            z1 = rng.randint(z2, p)
+            count1 = rng.randint(0, p)
+            canonical = tuple([z1] * count1 + [z2] * (p - count1))
+            blocks = certificates._rot(canonical, rng.randrange(p))
+        elif kind == 1:
+            pair = (rng.randint(0, p), rng.randint(0, p))
+            blocks = tuple(rng.choice(pair) for _ in range(p))
+        else:
+            blocks = tuple(rng.randint(-1, p + 1) for _ in range(p))
+        got = as_almost_rectangle(blocks)
+        want = _rotation_search(blocks)
+        assert (None if got is None else (got.z1, got.z2, got.count1, got.shift)) == want, blocks
+        if got is not None:
+            assert got.blocks == blocks and certificates._rot(got.canonical(), got.shift) == blocks
+            found += 1
+    assert 1000 < found < 3900
+
+
 # -- plausibility ----------------------------------------------------------------
 
 def test_plausible_1d_examples():
@@ -178,6 +227,24 @@ def test_complete_plausible_areas_sum():
 def test_complete_plausible_rejects_bad_m():
     with pytest.raises(CertificateError):
         complete_plausible((3, 3, 3, 2, 2, 2, 2), 3, CTX137)
+
+
+def test_stagger_sums_match_the_rows():
+    """The closed-form column sums of m staggered rows against the rows
+    themselves, built as `complete_plausible` builds them, on seeded almost
+    rectangles with m up to three times p."""
+    rng = random.Random(1937)
+    for _ in range(1500):
+        p = rng.randint(1, 11)
+        z2 = rng.randint(0, p)
+        z1 = rng.randint(z2, p)
+        count1 = rng.randint(1, p) if z1 > z2 else p
+        canonical = tuple([z1] * count1 + [z2] * (p - count1))
+        ar = as_almost_rectangle(certificates._rot(canonical, rng.randrange(p)))
+        m = rng.randint(1, 3 * p)
+        rows = [certificates._rot(ar.canonical(), (i * ar.count1 + ar.shift) % p)
+                for i in range(m)]
+        assert certificates._stagger_sums(ar, m) == [sum(col) for col in zip(*rows)]
 
 
 def test_halve_examples(rng):

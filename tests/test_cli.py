@@ -292,6 +292,81 @@ def test_verify_huge_b_is_prompt(tmp_path):
     assert (code, out) == (1, "INVALID reason=pigeonhole interval has too few integers\n")
 
 
+def _one_node_certificate(p, node, b=0, conclusion="tame_base") -> str:
+    obj = json.loads(_context_only_certificate(p, b, conclusion))
+    obj["nodes"] = [dict(node, id=0, refs=[])]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("p", [10000000000051, 10000000000000000000009])
+def test_boundedness_at_huge_p_is_prompt(tmp_path, p):
+    """The boundedness rule sizes the claim's two rectangles before it builds
+    p-entry ones.  Building them first ran out of memory at the first p and
+    overflowed at the second (exit 3); a certificate of about 400 bytes is
+    INVALID (exit 1)."""
+    z22 = p // 3  # theta*p - 2b < z21 < z22 < theta*p at theta = 1/3, b = 1
+    node = {"claim": {"kind": "distinct", "a": {"blocks": [1, 0]}, "b": {"blocks": [1, 1]}},
+            "justify": {"tag": "boundedness", "z21": z22 - 1, "z22": z22, "z1": z22 + 1,
+                        "m": (p - 1) // 2}}
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_one_node_certificate(p, node, 1, "contradiction"), encoding="utf-8")
+    assert cpath.stat().st_size < 500
+    start = time.process_time()
+    code, out = invoke(["verify", str(cpath), "-t", tpath])
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (1, "INVALID node=0 reason=claim does not name the two "
+                              "finale rectangles\n")
+
+
+def _double_cyclicity_node(blocks, k, shift):
+    return {"claim": {"kind": "tame", "blocks": blocks},
+            "justify": {"tag": "double_cyclicity", "blocks": blocks, "k": k, "shift": shift}}
+
+
+@pytest.mark.parametrize("p, length, reason", [
+    (13, 40000, "malformed node: block vector has 40000 entries, not p=13"),
+    (40009, 40009, "claim does not follow from the referenced facts")], ids=["p13", "p40009"])
+def test_long_block_vector_is_prompt(tmp_path, p, length, reason):
+    """A block vector's length is checked against p before the rule reads
+    it, and an almost rectangle is recognized in linear time, where the
+    rotation search took seconds on 40,000 entries.  At p = 40009 the
+    vector is a rotated almost rectangle with the right index and shift,
+    so the rule runs to its claim, which no referenced fact supports."""
+    ones = length // 2
+    canonical = [1] * ones + [0] * (length - ones)
+    blocks = canonical[-12345:] + canonical[:-12345]  # the run of ones starts at 12345
+    node = _double_cyclicity_node(blocks, ones, 12345)
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_one_node_certificate(p, node), encoding="utf-8")
+    start = time.process_time()
+    code, out = invoke(["verify", str(cpath), "-t", tpath])
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (1, f"INVALID node=0 reason={reason}\n")
+
+
+def test_completion_with_many_rows_is_prompt(tmp_path):
+    """(2-in-40008, NAE-40008) at p = 40009 completes z with m = 40007
+    staggered rows.  Their column sums have a closed form, so a one-node
+    certificate of about 3p entries is checked without building the rows
+    (1.6e9 entries), and its unsupported claim is INVALID."""
+    p, s = 40009, 40008
+    z, l = [2] * p, [4] * p  # l tops every column of 40007 rows of 2 up to r*p
+    node = {"claim": {"kind": "tame", "blocks": z},
+            "justify": {"tag": "completion", "m": s - 1, "blocks": z, "l": l,
+                        "twin": False, "pad": 0}}
+    obj = json.loads(_one_node_certificate(p, node))
+    obj["context"].update(r=2, s=s, theta=f"1/{s // 2}")
+    tpath = write_template(tmp_path, "t.tmpl", template(
+        (build_family("exact", 2, s), build_family("nae", s))))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(obj), encoding="utf-8")
+    start = time.process_time()
+    code, out = invoke(["verify", str(cpath), "-t", tpath])
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (1, "INVALID node=0 reason=claim is not forced by the constraint\n")
+
 
 def _usage_error(argv, capsys) -> str:
     """Run argv, expect exit 2 with nothing on stdout and exactly one

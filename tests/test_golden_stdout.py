@@ -7,8 +7,10 @@ prints different bytes than it did when the hash was recorded.
 """
 
 import hashlib
+import importlib.util
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +128,21 @@ def test_certify_stdout_is_pinned(r, s, case, p, b):
     argv = ["certify", "-r", str(r), "-s", str(s), "--case", case, "-p", str(p), "-b", str(b)]
     assert run(argv, out) == 0
     assert _sha(out.getvalue()) == CERTIFY_SHA[r, s, case, p, b]
+
+
+def _load_cert_sweep():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cert_sweep.py"
+    spec = importlib.util.spec_from_file_location("cert_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cert_sweep_below_32_is_pinned():
+    """tools/cert_sweep.py's stdout for every context with p < 32: 156 lines,
+    78 of them certificate fingerprints and 78 generation errors."""
+    sweep = _load_cert_sweep()
+    lines = [sweep.sweep_line(ctx) + "\n" for ctx in sweep.contexts(32)]
+    assert len(lines) == 156
+    assert _sha("".join(lines)) == \
+        "36592017b5e4f87fa1db21d28d5c8618ae0583577989a4d96e069349f4f32b6c"

@@ -24,9 +24,10 @@ P_BELOW = 80
 BS = (0, 1, 2)
 
 
-def contexts():
+def contexts(p_below: int = P_BELOW):
+    """Every accepted context with s <= MAX_S, prime p < p_below and b in BS."""
     for s in range(1, MAX_S + 1):
-        primes = [p for p in range(2, P_BELOW)
+        primes = [p for p in range(2, p_below)
                   if p % s == 1 and all(p % q for q in range(2, p))]
         for r in range(0, s + 1):
             for case in CASES:
@@ -39,16 +40,21 @@ def contexts():
                         yield ctx
 
 
+def sweep_line(ctx: ProofContext) -> str:
+    """The context and the fingerprint of its certificate (or error class)."""
+    try:
+        text = certificate_to_json(gen_certificate(ctx))
+        outcome = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    except (GenerationError, InternalCheckError) as e:
+        outcome = type(e).__name__
+    return f"{ctx.r} {ctx.s} {ctx.case} {ctx.p} {ctx.b} {outcome}"
+
+
 def main() -> None:
     count = 0
     start = time.process_time()
     for ctx in contexts():
-        try:
-            text = certificate_to_json(gen_certificate(ctx))
-            outcome = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-        except (GenerationError, InternalCheckError) as e:
-            outcome = type(e).__name__
-        print(f"{ctx.r} {ctx.s} {ctx.case} {ctx.p} {ctx.b} {outcome}", flush=True)
+        print(sweep_line(ctx), flush=True)
         count += 1
     elapsed = time.process_time() - start
     print(f"{count} contexts, cpu_s={elapsed:.2f}", file=sys.stderr)
