@@ -197,12 +197,6 @@ class ProofContext(StaggerParams):
         assert t.denominator != 1
         return int(t)
 
-    @cached_property
-    def q_weights(self) -> frozenset:
-        if self.case in ("4a", "4b"):
-            return frozenset(range(1, self.s))
-        return frozenset(range(0, 2 * self.r))
-
     @property
     def twins(self) -> bool:
         return self.case in ("2", "3")
@@ -276,7 +270,7 @@ def area(z, p: Optional[int] = None) -> Fraction:
     if p is None:
         p = len(blocks)
     if len(blocks) != p or (blocks and (min(blocks) < 0 or max(blocks) > p)):
-        raise CertificateError(f"bad block vector {blocks} for p={p}")
+        raise CertificateError(f"bad block vector of {len(blocks)} entries for p={p}")
     return Fraction(sum(blocks), p * p)
 
 
@@ -631,26 +625,21 @@ def claim_tame(blocks) -> dict:
     return {"kind": "tame", "blocks": list(blocks)}
 
 
-def _claim_bit(claim: dict) -> int:
-    bit = claim["bit"]
-    if type(bit) is not int or bit not in (0, 1):
-        raise CertificateError(f"claim bit {bit!r} is not 0 or 1")
-    return bit
-
-
 _SIGMA0 = sigma_term(0)
 
 
 def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
     """The one parity edge (x, y, parity) a claim states."""
     kind = claim["kind"]
+    if kind == "forced" or kind == "absolute":
+        k = _int(claim["k"], "claim k")
+        bit = claim["bit"]
+        if type(bit) is not int or bit not in (0, 1):
+            raise CertificateError(f"claim bit {bit!r} is not 0 or 1")
+        return ("sigma", k), (_SIGMA0 if kind == "forced" else ZERO), bit
     if kind == "distinct" or kind == "equal":
         return (_term_from_json(claim["a"]), _term_from_json(claim["b"]),
                 int(kind == "distinct"))
-    if kind == "forced":
-        return ("sigma", _int(claim["k"], "claim k")), _SIGMA0, _claim_bit(claim)
-    if kind == "absolute":
-        return ("sigma", _int(claim["k"], "claim k")), ZERO, _claim_bit(claim)
     if kind == "tame":
         blocks = _ints(claim["blocks"], "block height")
         return rect_term(blocks), sigma_term(0), int(area(blocks, ctx.p) > ctx.theta)
@@ -730,11 +719,20 @@ class QConstraint:
     twin: bool
 
 
-def _flat_classes(fact_edges) -> Optional[Dict[tuple, tuple]]:
+class _Contradiction(Exception):
+    """The facts contradict each other; `edge` is the first one that
+    contradicts the facts before it."""
+
+    def __init__(self, edge: tuple):
+        super().__init__(edge)
+        self.edge = edge
+
+
+def _flat_classes(fact_edges) -> Dict[tuple, tuple]:
     """The classes the facts form, flat: term -> (representative, parity to
     it), so that a lookup is one dict read; a term no fact names is left
-    out, as its own class.  A union relabels the smaller class.  None when
-    the facts are contradictory."""
+    out, as its own class.  A union relabels the smaller class.  Raises
+    `_Contradiction` when the facts are contradictory."""
     cls: Dict[tuple, tuple] = {}
     members: Dict[tuple, list] = {}
     for x, y, parity in fact_edges:
@@ -744,7 +742,7 @@ def _flat_classes(fact_edges) -> Optional[Dict[tuple, tuple]]:
             if cy is None:
                 if x == y:
                     if parity:
-                        return None
+                        raise _Contradiction((x, y, parity))
                     continue
                 cls[x] = (x, 0)
                 cls[y] = (x, parity)
@@ -761,7 +759,7 @@ def _flat_classes(fact_edges) -> Optional[Dict[tuple, tuple]]:
             (rx, px), (ry, py) = cx, cy
             if rx == ry:
                 if px ^ py != parity:
-                    return None
+                    raise _Contradiction((x, y, parity))
                 continue
             if len(members[rx]) < len(members[ry]):
                 rx, ry = ry, rx
@@ -845,8 +843,9 @@ def _deduce_claim(claim: dict, ctx: ProofContext, con: Optional[QConstraint],
     must follow from the facts alone.  Returns the claim's parity edge when
     the claim is forced, else a reason string.
     """
-    cls = _flat_classes(fact_edges)
-    if cls is None:
+    try:
+        cls = _flat_classes(fact_edges)
+    except _Contradiction:
         return "referenced facts are contradictory"
     edge = x, y, parity = _claim_edge(claim, ctx)
     (rx, px), (ry, py) = cls.get(x) or (x, 0), cls.get(y) or (y, 0)
@@ -1629,13 +1628,19 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
         if ctx.b != 0:
             return VerificationResult(False, None,
                                       "base-only conclusion requires b = 0")
-        dsu = ParityDSU()
-        for idx, (x, y, parity) in enumerate(edges):
-            if dsu.union(x, y, parity) == "conflict":
-                return VerificationResult(False, idx,
-                                          "claims are mutually inconsistent")
+        try:
+            cls = _flat_classes(edges)
+        except _Contradiction as e:
+            # an equal edge earlier in the list was consistent when read
+            # and, as classes only merge, would be still: the first equal
+            # edge is the contradicting one
+            return VerificationResult(False, edges.index(e.edge),
+                                      "claims are mutually inconsistent")
+        root0, par0 = cls.get(_SIGMA0) or (_SIGMA0, 0)
         for k in range(2 * ctx.a + 1):
-            if dsu.relation(sigma_term(k), sigma_term(0)) != ctx.tame_bit(k):
+            t = sigma_term(k)
+            root, par = cls.get(t) or (t, 0)
+            if root != root0 or par ^ par0 != ctx.tame_bit(k):
                 return VerificationResult(False, None,
                                           f"tameness coverage missing at {k}")
         return VerificationResult(True)

@@ -628,16 +628,39 @@ class _CountingDSU(certificates.ParityDSU):
 
 @pytest.mark.parametrize("args,conclusion,made", [
     ((1, 3, "4a", 13, 1), "contradiction", 0), ((2, 4, "4a", 29, 1), "contradiction", 0),
-    ((1, 3, "4a", 7, 0), "tame_base", 1), ((1, 3, "4a", 31, 0), "tame_base", 1)])
+    ((1, 3, "4a", 7, 0), "tame_base", 0), ((1, 3, "4a", 31, 0), "tame_base", 0)])
 def test_verification_builds_no_union_find_per_node(monkeypatch, args, conclusion, made):
-    """Node checks read flat classes; only the tame_base replay of all the
-    claims builds a union-find, once, whatever the node count."""
+    """Node checks and the tame_base replay of all the claims read flat
+    classes: verification builds no union-find, whatever the node count."""
     cert = gen_certificate(ProofContext(*args))
     assert cert.conclusion == conclusion and len(cert.nodes) > 50
     monkeypatch.setattr(_CountingDSU, "made", 0)
     monkeypatch.setattr(certificates, "ParityDSU", _CountingDSU)
     assert verify_certificate(cert, cert.context.canonical_template()).ok
     assert _CountingDSU.made == made
+
+
+def test_replay_names_the_first_contradicting_claim(monkeypatch):
+    """A node's check reads only its refs, so a claim can pass it and still
+    contradict an earlier node; the tame_base replay names the first such
+    claim.  The check is let through for the appended nodes: a restatement
+    of node 1, then two negations of it."""
+    cert = gen_certificate(CTX137)
+    assert cert.conclusion == "tame_base"
+    claim = cert.nodes[1].claim
+    assert claim["kind"] == "distinct"
+    negated = {**claim, "kind": "equal"}
+    n = len(cert.nodes)
+    extra = [certificates.Node(n + i, c, {"tag": "closure"}, ())
+             for i, c in enumerate([claim, negated, negated])]
+    cert = dataclasses.replace(cert, nodes=cert.nodes + tuple(extra))
+    check_node = certificates._check_node
+    monkeypatch.setattr(certificates, "_check_node",
+                        lambda node, ctx, *rest: certificates._claim_edge(node.claim, ctx)
+                        if node.id >= n else check_node(node, ctx, *rest))
+    result = verify_certificate(cert, T13)
+    assert (result.ok, result.failed_node, result.reason) == (
+        False, n + 1, "claims are mutually inconsistent")
 
 
 def test_pigeonhole_interval_leaves_out_height_zero():

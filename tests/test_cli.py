@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pcsp import solvers
+from pcsp import classifier, cli, solvers
 from pcsp.cli import run
 from pcsp.polymorphisms import MAX_TABLE_ENTRIES, format_function, parity_function
 from pcsp.structures import Instance, format_instance, format_template
@@ -346,6 +347,20 @@ def test_long_block_vector_is_prompt(tmp_path, p, length, reason):
     assert (code, out) == (1, f"INVALID node=0 reason={reason}\n")
 
 
+def test_long_tame_claim_gets_a_short_reason(tmp_path):
+    """A tame claim's vector of the wrong length is named by its length and
+    p, not printed: the whole vector made a 120,042-character line here."""
+    node = {"claim": {"kind": "tame", "blocks": [1] * 40000},
+            "justify": {"tag": "closure"}}
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(_one_node_certificate(13, node), encoding="utf-8")
+    code, out = invoke(["verify", str(cpath), "-t", tpath])
+    assert (code, out) == (1, "INVALID node=0 reason=malformed node: "
+                              "bad block vector of 40000 entries for p=13\n")
+    assert len(out) < 200
+
+
 def test_completion_with_many_rows_is_prompt(tmp_path):
     """(2-in-40008, NAE-40008) at p = 40009 completes z with m = 40007
     staggered rows.  Their column sums have a closed form, so a one-node
@@ -470,3 +485,105 @@ def test_certify_into_a_missing_directory_is_refused(tmp_path, capsys):
                         "-b", "0", "-o", str(target)], capsys)
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+# -- the collector pause ---------------------------------------------------------
+
+@pytest.fixture
+def collector_state():
+    """Leaves the cyclic collector as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _table_raising(exc):
+    def table(max_s):
+        raise exc
+    return table
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, table, code", [
+    (["table", "--max-s", "2"], None, 0),
+    (["classify", "-t", "<template>"], None, 1),
+    (["no-such-command"], None, 2),
+    (["table", "--max-s", "0"], None, 2),
+    (["table", "--max-s", "2"], _table_raising(solvers.InternalCheckError("seeded")), 3),
+    (["table", "--max-s", "2"], _table_raising(RuntimeError("seeded")), None),
+], ids=["exit0", "exit1", "exit2-argparse", "exit2-usage", "exit3", "raises"])
+def test_run_restores_the_collector_state(tmp_path, monkeypatch, capsys, collector_state,
+                                          enabled, argv, table, code):
+    """`run` pauses the cyclic collector for the whole command and then
+    restores the state it found, on every way out of the command."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    argv = [tpath if a == "<template>" else a for a in argv]
+    if table is not None:
+        monkeypatch.setattr(classifier, "classification_table", table)
+    (gc.enable if enabled else gc.disable)()
+    seen = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: seen.append(gc.isenabled()) or build())
+    if code is None:
+        with pytest.raises(RuntimeError):
+            run(argv, io.StringIO())
+    else:
+        assert run(argv, io.StringIO()) == code
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def _command_garbage(argv):
+    """(exit code, objects the collector finds) after running one command
+    function directly, without argparse, with the collector off."""
+    args = cli.build_parser().parse_args(argv)
+    command = cli._COMMANDS[args.command]
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            code = command(args, io.StringIO())
+        except cli._CliError as e:
+            code = e.code
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, collector_state):
+    """Why pausing the collector is safe: no command makes a reference
+    cycle, so a collection during one frees nothing.  Only argparse's
+    parser does, and `run` leaves that to the next collection."""
+    gf2 = with_neq(build_family("odd", 3), build_family("odd", 3))
+    lp = with_neq(build_family("atmost", 1, 3), build_family("atmost", 1, 3))
+    recipes = {"gf2": gf2, "diophantine": ONE_IN_THREE, "lp": lp}
+    assert {name: classifier.classify(t).sandwich.solver
+            for name, t in recipes.items()} == {name: name for name in recipes}
+    inst = write_instance(tmp_path, "i.inst", Instance(4, ((0, (0, 1, 2)), (0, (0, 1, 3)))))
+    fn = tmp_path / "par3.tt"
+    fn.write_text(format_function(parity_function(3)), encoding="utf-8")
+    t13 = write_template(tmp_path, "t13.tmpl", ONE_IN_THREE)
+    certify = ["certify", "-r", "1", "-s", "3", "--case", "4a", "-b"]
+    cert = tmp_path / "c.json"
+    assert _command_garbage(certify + ["0", "-p", "7", "-o", str(cert)]) == (0, 0)
+    obj = json.loads(cert.read_text())
+    obj["nodes"][0]["justify"]["tuples"][0][0] += 1
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(obj), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    runs = [(["classify", "-t", t13, "--json"], 1)]
+    runs += [(["solve", "-t", write_template(tmp_path, f"{name}.tmpl", t),
+               "-i", inst, "--witness"], 0) for name, t in recipes.items()]
+    runs += [
+        (["poly", str(fn), "--cyclic"], 0),
+        (["poly", str(fn), "--compose-eq1", "3"], 0),
+        (["poly", "--enumerate", "1", "-t", t13], 0),
+        (certify + ["1", "-p", "13", "-o", str(tmp_path / "c13.json")], 0),
+        (["verify", str(cert), "-t", t13], 0),
+        (["verify", str(tampered), "-t", t13], 1),
+        (["verify", str(bad), "-t", t13], 2),
+        (["table", "--max-s", "3"], 0),
+    ]
+    for argv, code in runs:
+        assert _command_garbage(argv) == (code, 0), argv
