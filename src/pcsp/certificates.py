@@ -40,11 +40,18 @@ class GenerationError(RuntimeError):
     """The requested certificate cannot be built at these parameters."""
 
 
+def _quote(value) -> str:
+    """A value read from a file, as a message quotes it: its repr, cut to 60
+    characters, so that no message grows with the file."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _int(value, what: str) -> int:
     """Read an integer field: an int and nothing else (no bool, float or
     string), so that no loose value is coerced into a proof."""
     if type(value) is not int:
-        raise CertificateError(f"{what} {value!r} is not an integer")
+        raise CertificateError(f"{what} {_quote(value)} is not an integer")
     return value
 
 
@@ -62,7 +69,7 @@ def _ints(values, what: str) -> tuple:
     values = tuple(values)
     for v in values:
         if type(v) is not int:
-            raise CertificateError(f"{what} {v!r} is not an integer")
+            raise CertificateError(f"{what} {_quote(v)} is not an integer")
     return values
 
 
@@ -128,7 +135,7 @@ class StaggerParams:
         for name in ("r", "s", "p"):
             _int(getattr(self, name), name)
         if self.case not in CASES:
-            raise CertificateError(f"unknown case {self.case!r}")
+            raise CertificateError(f"unknown case {_quote(self.case)}")
         if self.r < 0 or self.s < 1 or self.p < 1:
             raise CertificateError("need r >= 0, s >= 1 and p >= 1")
 
@@ -160,7 +167,7 @@ class ProofContext(StaggerParams):
     def __post_init__(self):
         super().__post_init__()
         if self.preset not in PRESETS:
-            raise CertificateError(f"unknown preset {self.preset!r}")
+            raise CertificateError(f"unknown preset {_quote(self.preset)}")
         if _int(self.b, "b") < 0:
             raise CertificateError("b must be >= 0")
         if self.p >= MAX_PRIME:
@@ -257,27 +264,22 @@ class EvalTuple:
 
 
 def _blocks_of(z) -> tuple:
-    if isinstance(z, EvalTuple):
-        return z.blocks
-    if isinstance(z, AlmostRectangle):
+    if isinstance(z, (EvalTuple, AlmostRectangle)):
         return z.blocks
     return tuple(z)
 
 
-def area(z, p: Optional[int] = None) -> Fraction:
+def area(z, p: int) -> Fraction:
     """Fraction of ones: (sum of block heights) / p**2."""
     blocks = _blocks_of(z)
-    if p is None:
-        p = len(blocks)
     if len(blocks) != p or (blocks and (min(blocks) < 0 or max(blocks) > p)):
         raise CertificateError(f"bad block vector of {len(blocks)} entries for p={p}")
     return Fraction(sum(blocks), p * p)
 
 
 def _rot(t: tuple, i: int) -> tuple:
-    """The i-th cyclic shift: every entry moves i places to the right."""
-    if not t:
-        return t
+    """The i-th cyclic shift of a non-empty tuple: every entry moves i
+    places to the right."""
     i %= len(t)
     return t[-i:] + t[:-i]
 
@@ -331,12 +333,6 @@ def as_almost_rectangle(z) -> Optional[AlmostRectangle]:
         return None  # the inner run is broken
     shift = start + length if inner == z2 else start
     return AlmostRectangle(blocks, z1, z2, count1, shift % p)
-
-
-def complement_blocks(z) -> tuple:
-    blocks = _blocks_of(z)
-    p = len(blocks)
-    return tuple(p - v for v in blocks)
 
 
 def near_threshold(z, ctx: ProofContext) -> bool:
@@ -467,8 +463,6 @@ def _complete(z, m: int, ctx: ProofContext) -> Tuple[AlmostRectangle, AlmostRect
         raise CertificateError("completion needs an almost rectangle")
     if m not in (ctx.m_half, ctx.m_flip):
         raise CertificateError(f"m={m} is not one of the two admissible counts")
-    if m < 1:
-        raise CertificateError("completion needs at least one row")
     gap = abs(area(ar.blocks, ctx.p) - ctx.theta)
     if gap > Fraction(1, ctx.s ** ctx.exponent("producing")):
         raise CertificateError("area too far from the threshold to complete")
@@ -478,10 +472,9 @@ def _complete(z, m: int, ctx: ProofContext) -> Tuple[AlmostRectangle, AlmostRect
     for i, v in enumerate(l_blocks):
         if not (0 <= v <= p):
             raise CertificateError(f"completion column {i} out of range ({v})")
-    l_ar = as_almost_rectangle(l_blocks)
-    if l_ar is None or l_ar.step != ar.step:
-        raise CertificateError("completion is not an almost rectangle of equal step")
-    return ar, l_ar
+    # p is prime and 0 < m < p, so 0 < rem < p in _stagger_sums unless z is
+    # flat: l is an almost rectangle of z's step
+    return ar, as_almost_rectangle(l_blocks)
 
 
 def _stagger_sums(ar: AlmostRectangle, m: int) -> List[int]:
@@ -501,7 +494,8 @@ def _stagger_sums(ar: AlmostRectangle, m: int) -> List[int]:
 
 def halve(l) -> Tuple[AlmostRectangle, AlmostRectangle]:
     """Round each block down and up; both halves are almost rectangles of
-    strictly smaller step (the input step must be at least 2)."""
+    strictly smaller step (the input step must be at least 2): rounding
+    keeps the blocks' two runs, and a step d >= 2 becomes one in 1..d-1."""
     ar = as_almost_rectangle(l)
     if ar is None:
         raise CertificateError("halving needs an almost rectangle")
@@ -509,10 +503,7 @@ def halve(l) -> Tuple[AlmostRectangle, AlmostRectangle]:
         raise CertificateError("halving needs step size >= 2")
     lo = tuple(v // 2 for v in ar.blocks)
     hi = tuple(v - v // 2 for v in ar.blocks)
-    a1, a2 = as_almost_rectangle(lo), as_almost_rectangle(hi)
-    if a1 is None or a2 is None or a1.step >= ar.step or a2.step >= ar.step:
-        raise CertificateError("internal: halves are not smaller almost rectangles")
-    return a1, a2
+    return as_almost_rectangle(lo), as_almost_rectangle(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +570,9 @@ def certificate_to_json(cert: Certificate) -> str:
 def certificate_from_json(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # nesting past the interpreter's recursion limit ends in the latter
+    except (ValueError, RecursionError) as e:
+        # besides JSONDecodeError: an integer of more digits than int()
+        # converts, and nesting past the interpreter's recursion limit
         raise CertificateError(f"bad JSON: {e}")
     try:
         c = obj["context"]
@@ -635,7 +627,7 @@ def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
         k = _int(claim["k"], "claim k")
         bit = claim["bit"]
         if type(bit) is not int or bit not in (0, 1):
-            raise CertificateError(f"claim bit {bit!r} is not 0 or 1")
+            raise CertificateError(f"claim bit {_quote(bit)} is not 0 or 1")
         return ("sigma", k), (_SIGMA0 if kind == "forced" else ZERO), bit
     if kind == "distinct" or kind == "equal":
         return (_term_from_json(claim["a"]), _term_from_json(claim["b"]),
@@ -643,7 +635,7 @@ def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
     if kind == "tame":
         blocks = _ints(claim["blocks"], "block height")
         return rect_term(blocks), sigma_term(0), int(area(blocks, ctx.p) > ctx.theta)
-    raise CertificateError(f"unknown claim kind {kind!r}")
+    raise CertificateError(f"unknown claim kind {_quote(kind)}")
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +932,7 @@ def propagate(chain, q: BoolRelation, ctx: ProofContext) -> PropagationResult:
                 if not is_plausible_1d(ks, ctx):
                     raise CertificateError(f"chain tuple {ks} is not plausible")
                 twin = bool(node.justify.get("twin", False))
-                if twin and not (ctx.twins and _twin_available(ks, ctx)):
+                if twin and not _twin_available(ks, ctx):
                     raise CertificateError("complement rule unavailable for this tuple")
                 constraints.append(_ktuple_constraint(ks, weights, twin))
         elif tag == "negation":
@@ -1016,10 +1008,13 @@ def _padded_2d_constraint(z_blocks, members, pad: int, q_weights, twin: bool,
 
 
 def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozenset,
-                              facts: list, template_has_neq: bool) -> str | tuple:
-    """The halving and completion rules: z's rotations, the column
-    completion l and, for halving, l's two halves in place of l form one
-    plausible family (and, with a twin, so do their complements)."""
+                              facts: list) -> str | tuple:
+    """The halving and completion rules: z's m staggered rotations, the
+    column completion l and, for halving, l's two halves in place of l form
+    one plausible family (and, with a twin, so do their complements).
+
+    Checking l and the halves against the construction proves that: every
+    column sums to exactly r*p, and with a twin the family has 2r rows."""
     j = node.justify
     halving = j["tag"] == "halving"
     z = _block_field(j["blocks"], ctx.p)
@@ -1033,13 +1028,13 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
         return "claim does not name the constructed rectangle"
     want_m = ctx.m_half if halving else ctx.m_flip
     if m != want_m:
-        return f"m={m} is not the admissible row count {want_m}"
+        return f"m={_quote(m)} is not the admissible row count {want_m}"
     if pad != ctx.zero_pad:
         return "wrong zero padding for this case"
     if twin != ctx.has_neq:
         return "complement flag disagrees with the case"
     try:
-        ar, l_ar = _complete(z, m, ctx)
+        _, l_ar = _complete(z, m, ctx)
     except CertificateError as e:
         return f"completion rejected: {e}"
     if l_ar.blocks != l:
@@ -1053,25 +1048,6 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
             return f"halving rejected: {e}"
         if [h1.blocks, h2.blocks] != members:
             return "stated halves disagree with the construction"
-    # The family is z's m staggered rows (z is the first), the members and
-    # pad zero rows; its column sums come without building the rows, whose
-    # entries are z's.  Its complement flips every row but the padding.
-    sums = _stagger_sums(ar, m)
-    for blocks in members:
-        if min(blocks) < 0 or max(blocks) > ctx.p:
-            return "assembled family is not plausible"
-        sums = [a + b for a, b in zip(sums, blocks)]
-    budget = ctx.r * ctx.p
-    for total in sums:
-        if not ctx.meets_budget(total, budget):
-            return "assembled family is not plausible"
-    if twin:
-        if not template_has_neq:
-            return "complement rule needs a disequality pair"
-        full = (m + len(members)) * ctx.p
-        for total in sums:
-            if not ctx.meets_budget(full - total, budget):
-                return "complemented family is not plausible"
     con = _padded_2d_constraint(z, members, pad, q_weights, twin, m)
     return _deduce_claim(node.claim, ctx, con, facts)
 
@@ -1093,9 +1069,9 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
     facts = []
     for rid in refs:
         if type(rid) is not int:
-            return f"reference {rid!r} is not an integer"
+            return f"reference {_quote(rid)} is not an integer"
         if not 0 <= rid < len(edges):
-            return f"reference {rid} is not an earlier node"
+            return f"reference {_quote(rid)} is not an earlier node"
         facts.append(edges[rid])
     tag = justify.get("tag")
 
@@ -1108,33 +1084,25 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             return "plausible tuple nodes carry exactly one tuple"
         ks = _ints(tuples[0], "tuple entry")
         if not is_plausible_1d(ks, ctx):
-            return f"tuple {list(ks)} is not plausible"
+            return f"tuple {_quote(list(ks))} is not plausible"
         twin = justify.get("twin")
         if type(twin) is not bool:
             return "twin flag is not true or false"
         if twin:
             if not template_has_neq:
                 return "complement rule needs a disequality pair"
-            if not (ctx.twins and _twin_available(ks, ctx)):
+            if not _twin_available(ks, ctx):
                 return "complement rule unavailable for this tuple"
         return _deduce_claim(claim, ctx, _ktuple_constraint(ks, q_weights, twin), facts)
 
     if tag == "negation":
         if not template_has_neq:
             return "negation step needs a disequality pair"
-        if "k" in node.justify:
-            k = _int(node.justify["k"], "negation index")
-            if not (0 <= k <= ctx.n):
-                return "negation index out of range"
-            edge = (sigma_term(k), sigma_term(ctx.n - k), 1)
-        else:
-            blocks = _block_field(node.justify["blocks"], ctx.p)
-            if as_almost_rectangle(blocks) is None:
-                return "negation of a non-rectangle"
-            edge = (rect_term(blocks), rect_term(complement_blocks(blocks)), 1)
-            if node.claim.get("kind") == "tame" and tuple(node.claim["blocks"]) != blocks:
-                return "claim does not name the complemented rectangle"
-        return _deduce_claim(node.claim, ctx, None, facts + [edge])
+        k = _int(justify["k"], "negation index")
+        if not (0 <= k <= ctx.n):
+            return "negation index out of range"
+        edge = (sigma_term(k), sigma_term(ctx.n - k), 1)
+        return _deduce_claim(claim, ctx, None, facts + [edge])
 
     if tag == "double_cyclicity":
         blocks = _block_field(node.justify["blocks"], ctx.p)
@@ -1153,7 +1121,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _deduce_claim(node.claim, ctx, None, facts + [edge])
 
     if tag in ("halving", "completion"):
-        return _check_completion_payload(node, ctx, q_weights, facts, template_has_neq)
+        return _check_completion_payload(node, ctx, q_weights, facts)
 
     if tag == "boundedness":
         z21 = _int(node.justify["z21"], "pattern height")
@@ -1172,7 +1140,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             return "wrong row split for the pigeonhole step"
         if not (theta * p - 2 * b < z21 < z22 < theta * p):
             return "pattern heights leave the pigeonhole interval"
-        if not (0 <= z21 and z22 <= p and 0 <= z1h <= p):
+        if not (0 <= z21 and 0 <= z1h <= p):
             return "heights out of range"
         zb1 = tuple([z1h] * m + [z21] * (p - m))
         zb2 = tuple([z1h] * m + [z22] * (p - m))
@@ -1180,14 +1148,10 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             return "first rectangle is not below the threshold"
         if z1h < p and area(tuple([z1h + 1] * m + [z21] * (p - m)), p) < theta:
             return "first height is not maximal"
-        if area(zb2, p) <= theta:
-            return "second rectangle is not above the threshold"
-        if not (theta * p < z1h < theta * p + 3 * b):
-            return "first height outside the provable window"
+        # The interval and the two checks above put z1h strictly between
+        # theta*p and theta*p + 3b, so zb2 (p - m > m blocks raised) lies
+        # above the threshold and both steps are below 5b.
         for zb in (zb1, zb2):
-            ar = as_almost_rectangle(zb)
-            if ar is None or ar.step >= 5 * b:
-                return "not an almost rectangle of step below 5b"
             if not near_threshold(zb, ctx):
                 return "finale rectangle is not near-threshold"
         want = claim_distinct(rect_term(zb1), rect_term(zb2))
@@ -1195,7 +1159,7 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
             return "claim does not name the two finale rectangles"
         return _deduce_claim(node.claim, ctx, None, facts)
 
-    return f"unknown justification {tag!r}"
+    return f"unknown justification {_quote(tag)}"
 
 
 # ---------------------------------------------------------------------------
@@ -1415,12 +1379,8 @@ class _CertBuilder:
             return self.tame_ids[blocks]
         if depth > MAX_FLIP_DEPTH:
             raise GenerationError("induction recursion exceeded its depth cap")
-        ar = as_almost_rectangle(blocks)
-        if ar is None:
-            raise GenerationError(f"{blocks} is not an almost rectangle")
-        lam = area(blocks, ctx.p)
-        if lam == ctx.theta:
-            raise GenerationError("rectangle sits exactly on the threshold")
+        ar = as_almost_rectangle(blocks)  # every caller passes one
+        lam = area(blocks, ctx.p)  # never theta: see ProofContext.a
 
         nid: Optional[int] = None
         if ar.step <= 1:
@@ -1452,7 +1412,7 @@ class _CertBuilder:
         want = ctx.theta < lam  # children must sit on the other side
         for h in (h1, h2):
             side = area(h.blocks, ctx.p)
-            if side == ctx.theta or (side < ctx.theta) != want:
+            if (side < ctx.theta) != want:
                 return None
         try:
             s1 = self.ensure_tame(h1.blocks, depth + 1)
@@ -1521,9 +1481,6 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                 zb1 = tuple([z1h] * m + [z21] * (ctx.p - m))
                 zb2 = tuple([z1h] * m + [z22] * (ctx.p - m))
                 for zb in (zb1, zb2):
-                    arz = as_almost_rectangle(zb)
-                    if arz is None or arz.step >= 5 * ctx.b:
-                        raise GenerationError("p too small for b: step too large")
                     if not near_threshold(zb, ctx):
                         raise GenerationError("p too small for b: rectangle "
                                               "not near-threshold")
@@ -1556,9 +1513,6 @@ class VerificationResult:
     ok: bool
     failed_node: Optional[int] = None
     reason: Optional[str] = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def _match_template(ctx: ProofContext, template: Template):
@@ -1663,7 +1617,7 @@ def verify_certificate(cert: Certificate, template: Template) -> VerificationRes
                         False, None, f"pattern pair ({z21},{z22}) is not covered")
         return VerificationResult(True)
 
-    return VerificationResult(False, None, f"unknown conclusion {cert.conclusion!r}")
+    return VerificationResult(False, None, f"unknown conclusion {_quote(cert.conclusion)}")
 
 
 def find_minimal_p(r: int, s: int, case: str, b: int, preset: str = "desk",

@@ -460,16 +460,16 @@ def _dio_translate(t: Template, inst: Instance) -> IntLinearSystem:
 
 
 def _weight_sense(a: BoolRelation):
-    s, w = a.arity, set(a.weights)
+    """The weight row of an A side the LP recipe sees: disequality, exact or
+    at-most (the polarity swap turns every at-least shape into at-most)."""
+    w = set(a.weights)
     if a.is_neq():
         return "=", 1
     if len(w) == 1:
         return "=", next(iter(w))
     if w == set(range(0, max(w) + 1)):
         return "<=", max(w)
-    if w == set(range(min(w), s + 1)):
-        return ">=", min(w)
-    raise UnsupportedTemplateError("LP backend needs interval weight relations")
+    raise UnsupportedTemplateError("LP backend needs exact or at-most weight relations")
 
 
 def _lp_translate(t: Template, inst: Instance) -> RationalInequalitySystem:

@@ -13,7 +13,7 @@ from pcsp.certificates import (Certificate, CertificateError, EvalTuple,
                                StaggerParams, area,
                                as_almost_rectangle, build_shift_matrix_1d,
                                build_shift_matrix_2d, certificate_from_json,
-                               certificate_to_json, complement_blocks,
+                               certificate_to_json,
                                complete_plausible, find_minimal_p,
                                gen_certificate, gen_stepone_chain, halve,
                                is_plausible_1d, is_plausible_2d, near_threshold,
@@ -30,6 +30,12 @@ def B(*args):
 
 CTX137 = ProofContext(1, 3, "4a", 7, 0)
 CTX245 = ProofContext(2, 4, "4a", 5, 0)
+
+# one context per README case; the 4a one has b = 1, so it also carries
+# halving, completion and boundedness nodes
+ONE_PER_CASE = [(2, 5, "1", 11, 0), (2, 4, "2", 13, 0), (2, 4, "3", 17, 0),
+                (1, 3, "4a", 13, 1), (2, 5, "4b", 11, 0)]
+ONE_PER_CASE_AT_B0 = [args[:4] + (0,) for args in ONE_PER_CASE]
 
 T13 = template((B("exact", 1, 3), B("nae", 3)))
 T24 = template((B("exact", 2, 4), B("nae", 4)))
@@ -262,6 +268,79 @@ def test_halve_examples(rng):
         blocks = blocks[-shift:] + blocks[:-shift]
         h1, h2 = halve(blocks)
         assert h1.step < step and h2.step < step
+
+
+def _random_almost_rectangle(p, rng):
+    z2 = rng.randint(0, p)
+    z1 = rng.randint(z2, p)
+    count1 = rng.randint(1, p - 1) if z1 > z2 else p
+    return certificates._rot(tuple([z1] * count1 + [z2] * (p - count1)), rng.randrange(p))
+
+
+@pytest.mark.parametrize("args", ONE_PER_CASE_AT_B0 + [(2, 5, "1", 31, 0), (2, 4, "2", 29, 0),
+                                                       (2, 4, "3", 29, 0), (2, 5, "4b", 31, 0)])
+def test_completed_families_are_plausible(args):
+    """The halving and completion rules check l and the halves against the
+    construction, and do not re-sum the family.  On seeded almost
+    rectangles z that `_complete` accepts, the family (z's m staggered
+    rows, then l or its halves, then the zero padding) is plausible by the
+    reference check; in cases 1-3 so is its complement, the padding kept."""
+    ctx = ProofContext(*args)
+    rng = random.Random(20261019)
+    p, pad = ctx.p, [(0,) * ctx.p] * ctx.zero_pad
+    built = {ctx.m_half: 0, ctx.m_flip: 0}
+    for _ in range(400):
+        z = _random_almost_rectangle(p, rng)
+        for m in built:
+            try:
+                rows, l = complete_plausible(z, m, ctx)
+            except CertificateError:
+                continue
+            if m == ctx.m_flip:
+                members = [l.blocks]
+            elif l.step >= 2:
+                members = [h.blocks for h in halve(l.blocks)]
+            else:
+                continue
+            family = [row.blocks for row in rows] + members
+            assert is_plausible_2d(family + pad, ctx), (z, m)
+            if ctx.has_neq:
+                flipped = [tuple(p - v for v in row) for row in family]
+                assert is_plausible_2d(flipped + pad, ctx), (z, m)
+            built[m] += 1
+    assert min(built.values()) >= 10, built
+
+
+def test_finale_checks_imply_the_window_and_the_steps():
+    """The boundedness rule does not check that theta*p < z1 < theta*p + 3b,
+    that the second rectangle lies above the threshold, or that both have
+    step below 5b.  Every (z21, z22, z1) that passes its interval, range,
+    first-below and maximality checks meets all three."""
+    checked = 0
+    for r, s, case in [(1, 3, "4a"), (2, 4, "4a"), (2, 4, "2"), (2, 4, "3"), (2, 5, "1"),
+                       (2, 5, "4b"), (3, 7, "1"), (1, 4, "4a")]:
+        for p in range(5, 60):
+            for b in (1, 2, 4):
+                try:
+                    ctx = ProofContext(r, s, case, p, b)
+                except CertificateError:
+                    continue
+                theta, m = ctx.theta, (p - 1) // 2
+                heights = [z for z in range(p + 1) if theta * p - 2 * b < z < theta * p]
+                for i, z21 in enumerate(heights):
+                    for z22 in heights[i + 1:]:
+                        for z1 in range(p + 1):
+                            zb1 = (z1,) * m + (z21,) * (p - m)
+                            zb2 = (z1,) * m + (z22,) * (p - m)
+                            if area(zb1, p) >= theta or (
+                                    z1 < p and area((z1 + 1,) * m + (z21,) * (p - m), p) < theta):
+                                continue
+                            assert theta * p < z1 < theta * p + 3 * b, (ctx, z21, z22, z1)
+                            assert area(zb2, p) > theta, (ctx, z21, z22, z1)
+                            for zb in (zb1, zb2):
+                                assert as_almost_rectangle(zb).step < 5 * b
+                            checked += 1
+    assert checked > 500, checked
 
 
 # -- step-one chains -------------------------------------------------------------
@@ -581,12 +660,6 @@ def test_generation_reports_small_p():
 
 # -- the one self-check ----------------------------------------------------------
 
-# one context per README case; the 4a one has b = 1, so it also carries
-# halving, completion and boundedness nodes
-ONE_PER_CASE = [(2, 5, "1", 11, 0), (2, 4, "2", 13, 0), (2, 4, "3", 17, 0),
-                (1, 3, "4a", 13, 1), (2, 5, "4b", 11, 0)]
-
-
 @pytest.mark.parametrize("args", ONE_PER_CASE)
 def test_generation_checks_each_node_once(monkeypatch, args):
     """The final verify_certificate is the only check generation runs: one
@@ -749,10 +822,6 @@ def test_checker_bug_exits_3(tmp_path, monkeypatch, capsys):
     assert (code, out.getvalue()) == (3, "")
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "node 0" in err[0] and "ZeroDivisionError" in err[0], err[0]
-
-
-def test_complement_blocks():
-    assert complement_blocks((3, 3, 3, 2, 2, 2, 2)) == (4, 4, 4, 5, 5, 5, 5)
 
 
 def test_near_threshold_flag():

@@ -432,6 +432,26 @@ def test_poly_without_a_template_is_refused(tmp_path, capsys):
         assert _usage_error(argv, capsys) == "error: missing template file (-t)\n"
 
 
+def test_poly_needs_a_table_and_an_operation(tmp_path, capsys):
+    fpath = tmp_path / "f.tt"
+    fpath.write_text(format_function(parity_function(3)), encoding="utf-8")
+    assert _usage_error(["poly"], capsys) == "error: poly needs a truth-table file\n"
+    assert _usage_error(["poly", str(fpath)], capsys) == (
+        "error: poly needs one of --is-polymorphism, --cyclic, --doubly-cyclic, "
+        "--compose-eq1, --sigma, --enumerate\n")
+
+
+def test_point_absorbing_template_is_finitely_tractable(tmp_path):
+    """(1-in-3, at-least-1-in-3) matches no basic item; the all-ones tuple
+    lies in its B side, so it reduces to a one-element structure."""
+    t = template((build_family("exact", 1, 3), build_family("atleast", 1, 3)))
+    assert classifier.match_basic(t) is None and classifier._point_absorbing(t) == 1
+    path = tmp_path / "t.tmpl"
+    path.write_text("template\npair rin 1 3 atleast 1 3\nend\n", encoding="utf-8")
+    assert invoke(["classify", "-t", str(path)]) == (
+        0, "complexity=Tractable finiteness=FinitelyTractable case=- theorem_item=-\n")
+
+
 def test_enumerate_arity_below_one_is_refused(tmp_path, capsys):
     """Arity 0 was refused for some templates and printed `count 0` for
     others; a negative arity raised a TypeError."""
@@ -477,6 +497,16 @@ def test_deeply_nested_certificate_is_refused(tmp_path, capsys):
     cpath.write_text("[" * 200_000, encoding="utf-8")
     err = _usage_error(["verify", str(cpath), "-t", tpath], capsys)
     assert err.startswith(f"error: {cpath}: bad JSON: ")
+
+
+def test_certificate_integer_beyond_conversion_limit_is_refused(tmp_path, capsys):
+    """An integer of more digits than int() converts (4300 by default) used
+    to end in a ValueError traceback and exit 1."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"context": ' + "9" * 5000 + "}", encoding="utf-8")
+    err = _usage_error(["verify", str(cpath), "-t", tpath], capsys)
+    assert err.startswith(f"error: {cpath}: bad JSON: ") and len(err) < 300, err
 
 
 def test_certify_into_a_missing_directory_is_refused(tmp_path, capsys):
