@@ -55,6 +55,15 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _stray_field(obj, fields: frozenset) -> None:
+    """Raise on a key of obj that its rule does not read.  Called only when
+    obj is longer than `fields`; a value that is not an object, or that
+    lacks one of `fields`, is left to the read that fails on it."""
+    if type(obj) is dict and obj.keys() > fields:
+        key = next(k for k in obj if k not in fields)
+        raise CertificateError(f"unexpected field {_quote(key)}")
+
+
 def _block_field(values, p: int) -> tuple:
     """A block vector read from a justification: p integers.  The length
     is checked before anything else reads the entries."""
@@ -527,7 +536,13 @@ def _term_to_json(term):
     return {"blocks": list(term[1])}
 
 
+_SIGMA_TERM = frozenset(("sigma",))
+_RECT_TERM = frozenset(("blocks",))
+
+
 def _term_from_json(obj):
+    if len(obj) > 1:
+        _stray_field(obj, _SIGMA_TERM if "sigma" in obj else _RECT_TERM)
     if "sigma" in obj:
         return "sigma", _int(obj["sigma"], "sigma index")
     return "rect", _ints(obj["blocks"], "block height")
@@ -539,6 +554,9 @@ class Node:
     claim: dict
     justify: dict
     refs: tuple
+    # the first key of the node object in the file that is none of the four
+    # fields above; the checker rejects the node for it
+    stray: Optional[str] = None
 
     def to_json(self) -> dict:
         return {"id": self.id, "claim": self.claim, "justify": self.justify,
@@ -567,7 +585,13 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_NODE_KEYS = frozenset(("id", "claim", "justify", "refs"))
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """Parse a certificate.  Its containers are read strictly: `nodes` and
+    every `refs` must be JSON arrays and every node a JSON object with all
+    four fields; anything else raises CertificateError, naming the node."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -582,15 +606,34 @@ def certificate_from_json(text: str) -> Certificate:
         theta = ctx.theta
         if c["theta"] != f"{theta.numerator}/{theta.denominator}":
             raise CertificateError("stored threshold disagrees with the case")
-        # ids are kept as read; the verifier rejects a node whose id is not
-        # its index
+        items = obj["nodes"]
+        if type(items) is not list:
+            raise CertificateError("malformed certificate: nodes is not a JSON array")
         nodes = []
-        for nd in obj["nodes"]:
-            nodes.append(Node(nd["id"], nd["claim"], nd["justify"], tuple(nd["refs"])))
+        for nd in items:
+            # a node's index is the count of nodes read before it
+            try:
+                nid, claim, justify, refs = nd["id"], nd["claim"], nd["justify"], nd["refs"]
+            except KeyError as e:
+                raise CertificateError(f"malformed certificate: node {len(nodes)} "
+                                       f"has no field {e}")
+            except TypeError:  # any JSON value but an object
+                raise CertificateError(f"malformed certificate: node {len(nodes)} "
+                                       "is not a JSON object")
+            if type(refs) is not list:
+                raise CertificateError(f"malformed certificate: node {len(nodes)}: "
+                                       "refs is not a JSON array")
+            # with the four fields present, a fifth key is one no rule reads;
+            # ids are kept as read, and the verifier rejects a node whose id
+            # is not its index
+            stray = next(k for k in nd if k not in _NODE_KEYS) if len(nd) > 4 else None
+            nodes.append(Node(nid, claim, justify, tuple(refs), stray))
         conclusion = obj["conclusion"]
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, CertificateError):
-            raise
+    except KeyError as e:
+        raise CertificateError(f"malformed certificate: missing field {e}")
+    except TypeError as e:
+        # a certificate or context that is not an object, or an unhashable
+        # context value
         raise CertificateError(f"malformed certificate: {e}")
     return Certificate(ctx, tuple(nodes), conclusion)
 
@@ -619,20 +662,40 @@ def claim_tame(blocks) -> dict:
 
 _SIGMA0 = sigma_term(0)
 
+# the fields of each kind of claim, and of each rule's justification
+_BIT_CLAIM = frozenset(("kind", "k", "bit"))
+_PAIR_CLAIM = frozenset(("kind", "a", "b"))
+_TAME_CLAIM = frozenset(("kind", "blocks"))
+_RULE_FIELDS = {
+    "closure": frozenset(("tag",)),
+    "plausible1d": frozenset(("tag", "tuples", "twin")),
+    "negation": frozenset(("tag", "k")),
+    "double_cyclicity": frozenset(("tag", "blocks", "k", "shift")),
+    "halving": frozenset(("tag", "m", "blocks", "l", "l1", "l2", "twin", "pad")),
+    "completion": frozenset(("tag", "m", "blocks", "l", "twin", "pad")),
+    "boundedness": frozenset(("tag", "z21", "z22", "z1", "m")),
+}
+
 
 def _claim_edge(claim: dict, ctx: ProofContext) -> tuple:
     """The one parity edge (x, y, parity) a claim states."""
     kind = claim["kind"]
     if kind == "forced" or kind == "absolute":
+        if len(claim) > 3:
+            _stray_field(claim, _BIT_CLAIM)
         k = _int(claim["k"], "claim k")
         bit = claim["bit"]
         if type(bit) is not int or bit not in (0, 1):
             raise CertificateError(f"claim bit {_quote(bit)} is not 0 or 1")
         return ("sigma", k), (_SIGMA0 if kind == "forced" else ZERO), bit
     if kind == "distinct" or kind == "equal":
+        if len(claim) > 3:
+            _stray_field(claim, _PAIR_CLAIM)
         return (_term_from_json(claim["a"]), _term_from_json(claim["b"]),
                 int(kind == "distinct"))
     if kind == "tame":
+        if len(claim) > 2:
+            _stray_field(claim, _TAME_CLAIM)
         blocks = _ints(claim["blocks"], "block height")
         return rect_term(blocks), sigma_term(0), int(area(blocks, ctx.p) > ctx.theta)
     raise CertificateError(f"unknown claim kind {_quote(kind)}")
@@ -1017,6 +1080,8 @@ def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozense
     column sums to exactly r*p, and with a twin the family has 2r rows."""
     j = node.justify
     halving = j["tag"] == "halving"
+    if len(j) > (8 if halving else 6):
+        _stray_field(j, _RULE_FIELDS[j["tag"]])
     z = _block_field(j["blocks"], ctx.p)
     l = _block_field(j["l"], ctx.p)
     m = _int(j["m"], "row count")
@@ -1066,19 +1131,28 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return "claim is not a JSON object"
     if type(justify) is not dict:
         return "justification is not a JSON object"
+    if node.stray is not None:
+        raise CertificateError(f"unexpected field {_quote(node.stray)}")
     facts = []
+    count = len(edges)
     for rid in refs:
         if type(rid) is not int:
             return f"reference {_quote(rid)} is not an integer"
-        if not 0 <= rid < len(edges):
+        if not 0 <= rid < count:
             return f"reference {_quote(rid)} is not an earlier node"
         facts.append(edges[rid])
+    # Each rule compares the justification's length with its fields' count:
+    # a longer one carries a field that no rule reads.
     tag = justify.get("tag")
 
     if tag == "closure":  # the most frequent rule
+        if len(justify) > 1:
+            _stray_field(justify, _RULE_FIELDS[tag])
         return _deduce_claim(claim, ctx, None, facts)
 
     if tag == "plausible1d":
+        if len(justify) > 3:
+            _stray_field(justify, _RULE_FIELDS[tag])
         tuples = justify.get("tuples")
         if not isinstance(tuples, list) or len(tuples) != 1:
             return "plausible tuple nodes carry exactly one tuple"
@@ -1096,6 +1170,8 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _deduce_claim(claim, ctx, _ktuple_constraint(ks, q_weights, twin), facts)
 
     if tag == "negation":
+        if len(justify) > 2:
+            _stray_field(justify, _RULE_FIELDS[tag])
         if not template_has_neq:
             return "negation step needs a disequality pair"
         k = _int(justify["k"], "negation index")
@@ -1105,6 +1181,8 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _deduce_claim(claim, ctx, None, facts + [edge])
 
     if tag == "double_cyclicity":
+        if len(justify) > 4:
+            _stray_field(justify, _RULE_FIELDS[tag])
         blocks = _block_field(node.justify["blocks"], ctx.p)
         k = _int(node.justify["k"], "flat index")
         shift = _int(node.justify["shift"], "shift")
@@ -1124,6 +1202,8 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _check_completion_payload(node, ctx, q_weights, facts)
 
     if tag == "boundedness":
+        if len(justify) > 5:
+            _stray_field(justify, _RULE_FIELDS[tag])
         z21 = _int(node.justify["z21"], "pattern height")
         z22 = _int(node.justify["z22"], "pattern height")
         z1h = _int(node.justify["z1"], "first height")
@@ -1220,14 +1300,12 @@ class _CertBuilder:
         return link
 
     def refs_for(self, pairs) -> List[int]:
-        """The nodes that relate the two terms of each pair: the one node
-        linking each term straight to their common root.  Unsorted and maybe
+        """The nodes that relate the two distinct terms of each pair: the one
+        node linking each term straight to their common root.  Unsorted and maybe
         repeated; `emit` sorts them once."""
         up = self.up
         ids: List[int] = []
         for x, y in pairs:
-            if x == y:
-                continue
             if x in up and y in up:
                 rx, _, nx = self._to_root(x)
                 ry, _, ny = self._to_root(y)
@@ -1352,20 +1430,42 @@ class _CertBuilder:
             emit_distinct(a + i, a - i, second,
                           [(u(a + i), u(a)), (u(above), u(a))])
 
+    def _root(self, t) -> tuple:
+        """t's root, found without emitting anything."""
+        up = self.up
+        link = up[t]
+        while link is not None:
+            t = link[0]
+            link = up[t]
+        return t
+
     def build_chain(self):
+        """Emit the step-one chain and check that its facts link every index
+        0..2a to u_0.  The check emits nothing: the closure stating u_k's
+        relation to u_0 is emitted only when a node cites it (`forced`)."""
         self._emit_stepone()
         a = self.ctx.a
-        order = [0, a]
+        order = [a]
         for i in range(1, a + 1):
             order.extend([a + i, a - i])
+        up = self.up
+        root0 = self._root(_SIGMA0) if _SIGMA0 in up else None
         for k in order:
-            if k in self.forced_ids:
-                continue
             x = sigma_term(k)
-            refs = self.refs_for([(x, _SIGMA0)])
+            if x not in up or self._root(x) != root0:
+                raise GenerationError(f"no established fact links {x} and {_SIGMA0}")
+
+    def forced(self, k: int) -> int:
+        """The closure node stating u_k's tame relation to u_0, for
+        0 <= k <= 2a: emitted, with its lemmas, the first time it is cited."""
+        nid = self.forced_ids.get(k)
+        if nid is None:
+            x = sigma_term(k)
             bit = self.ctx.tame_bit(k)
-            self.forced_ids[k] = self.emit(claim_forced(k, bit), (x, _SIGMA0, bit),
-                                           {"tag": "closure"}, refs)
+            nid = self.forced_ids[k] = self.emit(
+                claim_forced(k, bit), (x, _SIGMA0, bit), {"tag": "closure"},
+                self.refs_for([(x, _SIGMA0)]) if k else [])
+        return nid
 
     # -- induction over almost rectangles --
 
@@ -1385,12 +1485,12 @@ class _CertBuilder:
         nid: Optional[int] = None
         if ar.step <= 1:
             k = sum(blocks)
-            if k not in self.forced_ids:
+            if k > 2 * ctx.a:
                 raise GenerationError(f"base chain does not cover index {k}")
             nid = self.emit_tame(blocks,
                                  {"tag": "double_cyclicity", "blocks": list(blocks),
                                   "k": k, "shift": ar.shift},
-                                 [self.forced_ids[k]])
+                                 [self.forced(k)])
         else:
             too_close = abs(lam - ctx.theta) < Fraction(
                 1, ctx.s ** (ctx.b + ctx.exponent("tooclose")))
@@ -1451,15 +1551,38 @@ def _finale_heights(ctx: ProofContext, z2: int) -> int:
     return best
 
 
+def _cited_by(nodes: List[Node], last: List[int]) -> tuple:
+    """The nodes that the `last` ones reach through their refs, those
+    included, in their order; ids and refs are renumbered in place."""
+    keep = bytearray(len(nodes))
+    for i in last:
+        keep[i] = 1
+    for node in reversed(nodes):
+        if keep[node.id]:
+            for rid in node.refs:
+                keep[rid] = 1
+    if keep.find(0) < 0:
+        return tuple(nodes)  # nothing to drop: ids and refs stand
+    new_id = [0] * len(nodes)
+    kept = []
+    for node in nodes:
+        if keep[node.id]:
+            new_id[node.id] = node.id = len(kept)
+            node.refs = tuple([new_id[rid] for rid in node.refs])
+            kept.append(node)
+    return tuple(kept)
+
+
 def gen_certificate(ctx: ProofContext) -> "Certificate":
     """Generate the full certificate for the context.
 
     With b = 0 the result is the base tameness chain alone.  With b >= 1 it
-    adds, for every pattern pair in the pigeonhole interval, tameness
+    holds, for every pattern pair in the pigeonhole interval, tameness
     subproofs of the two composite rectangles and the distinctness node that
-    contradicts boundedness.  Failures (an interval with too few integers, a
-    rectangle the base chain cannot reach, completion running out of range)
-    raise GenerationError: the parameters, usually p, are too small.
+    contradicts boundedness, and of the chain only the nodes those subproofs
+    cite.  Failures (an interval with too few integers, a rectangle the base
+    chain cannot reach, completion running out of range) raise
+    GenerationError: the parameters, usually p, are too small.
 
     The final `verify_certificate`, the checker `pcsp verify` runs, is the
     one self-check; a failure raises InternalCheckError naming the node.
@@ -1475,6 +1598,7 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                 f"p too small for b: interval has {len(ints)} integers, "
                 f"needs {ctx.b + 1}")
         m = (ctx.p - 1) // 2
+        finale = []
         for i, z21 in enumerate(ints):
             for z22 in ints[i + 1:]:
                 z1h = _finale_heights(ctx, z21)
@@ -1486,12 +1610,12 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                                               "not near-threshold")
                 n1 = cb.ensure_tame(zb1)
                 n2 = cb.ensure_tame(zb2)
-                cb.emit(claim_distinct(rect_term(zb1), rect_term(zb2)),
-                        (rect_term(zb1), rect_term(zb2), 1),
-                        {"tag": "boundedness", "z21": z21, "z22": z22,
-                         "z1": z1h, "m": m},
-                        [n1, n2])
-        cert = Certificate(ctx, tuple(cb.nodes), "contradiction")
+                finale.append(cb.emit(claim_distinct(rect_term(zb1), rect_term(zb2)),
+                                      (rect_term(zb1), rect_term(zb2), 1),
+                                      {"tag": "boundedness", "z21": z21, "z22": z22,
+                                       "z1": z1h, "m": m},
+                                      [n1, n2]))
+        cert = Certificate(ctx, _cited_by(cb.nodes, finale), "contradiction")
     check = verify_certificate(cert, ctx.canonical_template())
     if not check.ok:
         where = "the conclusion"

@@ -22,6 +22,7 @@ from pcsp.cli import run
 from pcsp.solvers import InternalCheckError
 from pcsp.structures import build_family
 from conftest import template
+from test_golden_stdout import _load_cert_sweep
 
 
 def B(*args):
@@ -653,9 +654,80 @@ def test_path_refs_certificate_still_verifies():
         assert not result.ok and result.failed_node is not None
 
 
+FIXTURE_P13 = Path(__file__).parent / "data" / "cert_1in3_p13_b1_unused_closures.json"
+
+
+def test_certificate_with_unused_closures_still_verifies():
+    """A certificate that also holds nodes its conclusion never reads (a
+    forced closure for every index 0..2a, the shape written before they
+    were emitted only when cited) is still a proof, of the same templates."""
+    cert = certificate_from_json(FIXTURE_P13.read_text())
+    forced = [n for n in cert.nodes if n.claim["kind"] == "forced"]
+    assert len(forced) == 2 * cert.context.a + 1
+    assert verify_certificate(cert, T13).ok
+    assert verify_certificate(cert, T13.swap01()).ok
+    for weak in (B("atmost", 2, 3), B("atleast", 1, 3)):
+        result = verify_certificate(cert, template((B("exact", 1, 3), weak)))
+        assert not result.ok and result.failed_node is not None
+
+
+def test_generation_emits_only_nodes_the_fuller_certificate_held():
+    """Emitting only the nodes the conclusion reads drops nodes and
+    renumbers refs, but states no claim by a justification that the
+    certificate with every forced closure did not hold."""
+    old = json.loads(FIXTURE_P13.read_text())["nodes"]
+    held = {json.dumps([nd["claim"], nd["justify"]], sort_keys=True) for nd in old}
+    cert = gen_certificate(ProofContext(1, 3, "4a", 13, 1))
+    assert len(cert.nodes) < len(old)
+    for node in cert.nodes:
+        assert json.dumps([node.claim, node.justify], sort_keys=True) in held, node.id
+
+
+def test_swept_certificates_hold_only_what_their_conclusion_reads():
+    """Over the sweep's contexts with p < 32: at b >= 1 every node is reached
+    through refs from a boundedness node; at b = 0, whose conclusion reads
+    every claim, no claim is a forced closure and every closure lemma is
+    cited by a later node."""
+    sweep = _load_cert_sweep()  # tools/cert_sweep.py
+    checked = {0: 0, 1: 0}
+    for ctx in sweep.contexts(32):
+        try:
+            nodes = gen_certificate(ctx).nodes
+        except GenerationError:
+            continue
+        if ctx.b == 0:
+            cited = {rid for node in nodes for rid in node.refs}
+            assert all(node.claim["kind"] != "forced" for node in nodes), ctx
+            assert all(node.id in cited for node in nodes
+                       if node.justify["tag"] == "closure"), ctx
+        else:
+            reached = {node.id for node in nodes if node.justify["tag"] == "boundedness"}
+            for node in reversed(nodes):
+                if node.id in reached:
+                    reached.update(node.refs)
+            assert reached == set(range(len(nodes))), ctx
+        checked[min(ctx.b, 1)] += 1
+    assert checked == {0: 52, 1: 26}  # 78 certificates, as in the sweep's pin
+
+
 def test_generation_reports_small_p():
     with pytest.raises(GenerationError):
         gen_certificate(ProofContext(1, 3, "4a", 7, 1))
+
+
+def test_chain_that_misses_an_index_is_a_small_p(monkeypatch):
+    """Generation checks that the step-one chain relates every index 0..2a
+    to u_0 before it emits any forced closure, so a chain with a gap is a
+    GenerationError at b = 0 as at b = 1, not a failed self-check."""
+    def first_node_only(builder):  # p = 7, a = 16: the chain's first tuple
+        u16, u17 = ("sigma", 16), ("sigma", 17)
+        builder.emit(certificates.claim_distinct(u16, u17), (u16, u17, 1),
+                     {"tag": "plausible1d", "tuples": [[16, 16, 17]], "twin": False}, [])
+
+    monkeypatch.setattr(certificates._CertBuilder, "_emit_stepone", first_node_only)
+    for b in (0, 1):
+        with pytest.raises(GenerationError, match=r"no established fact links \('sigma', 16\)"):
+            gen_certificate(ProofContext(1, 3, "4a", 7, b))
 
 
 # -- the one self-check ----------------------------------------------------------
@@ -957,9 +1029,8 @@ def _loose_mutations(obj):
     tup = next(i for i, nd in enumerate(nodes) if nd["justify"]["tag"] == "plausible1d")
     yield at(tup, lambda nd: nd["justify"].__setitem__(
         "tuples", [[k + 0.5 for k in nd["justify"]["tuples"][0]]]))
-    k0 = next(i for i, nd in enumerate(nodes)
-              if nd["claim"]["kind"] == "forced" and nd["claim"]["k"] == 0)
-    yield at(k0, set_in("claim", "k", 0.0))
+    forced = next(i for i, nd in enumerate(nodes) if nd["claim"]["kind"] == "forced")
+    yield at(forced, set_in("claim", "k", 0.0))
     for tag in ("plausible1d", "halving", "completion"):
         i = next((i for i, nd in enumerate(nodes)
                   if nd["justify"]["tag"] == tag and nd["justify"]["twin"] is False), None)
@@ -1001,7 +1072,8 @@ def _int_leaves(value, path=()):
 @pytest.mark.parametrize("ctx,tags", [
     (ProofContext(1, 3, "4a", 13, 1), {"plausible1d", "closure", "double_cyclicity",
                                        "halving", "completion", "boundedness"}),
-    (ProofContext(2, 5, "1", 11, 0), {"plausible1d", "negation", "closure"}),
+    (ProofContext(2, 5, "1", 31, 1), {"plausible1d", "negation", "closure", "double_cyclicity",
+                                      "halving", "completion", "boundedness"}),
 ])
 def test_every_integer_field_is_read_strictly(ctx, tags):
     """Writing any integer of a node as a float (or a 0/1 as a bool) makes

@@ -191,6 +191,23 @@ FIELD_EDITS = [
      "first rectangle is not below the threshold"),
     (CASE_4A, "boundedness", _bump("justify", "z1", -1), "first height is not maximal"),
     (CASE_4A, "closure", lambda nd: nd.update(id=nd["id"] + 1), "node ids must be sequential"),
+    # a field that no rule reads, on each kind of object a node holds
+    (CASE_4A, "closure", lambda nd: nd.update(note=1), "malformed node: unexpected field 'note'"),
+    (CASE_4A, "closure", _set("justify", "k", 1), "malformed node: unexpected field 'k'"),
+    (CASE_4A, "closure", _set("claim", "bit", 1), "malformed node: unexpected field 'bit'"),
+    (CASE_4A, "closure", lambda nd: nd["claim"]["a"].update(blocks=[0] * 13),
+     "malformed node: unexpected field 'blocks'"),
+    (CASE_4A, "plausible1d", _set("justify", "pad", 0), "malformed node: unexpected field 'pad'"),
+    (CASE_1, "plausible1d", _set("claim", "a", {"sigma": 0}),
+     "malformed node: unexpected field 'a'"),
+    (CASE_1, "negation", _set("justify", "blocks", _one_run(60, 11)),
+     "malformed node: unexpected field 'blocks'"),
+    (CASE_4A, "double_cyclicity", _set("justify", "m", 1), "malformed node: unexpected field 'm'"),
+    (CASE_4A, "halving", _set("claim", "k", 1), "malformed node: unexpected field 'k'"),
+    (CASE_4A, "halving", _set("justify", "shift", 0), "malformed node: unexpected field 'shift'"),
+    (CASE_4A, "completion", lambda nd: nd["justify"].update(l1=nd["justify"]["l"]),
+     "malformed node: unexpected field 'l1'"),
+    (CASE_4A, "boundedness", _set("justify", "k", 1), "malformed node: unexpected field 'k'"),
 ]
 
 
@@ -321,26 +338,30 @@ def _first_with(obj, test) -> int:
     return next(i for i, nd in enumerate(obj["nodes"]) if test(nd))
 
 
-@pytest.mark.parametrize("edit,reason_start", [
-    (lambda obj: obj["nodes"][0]["justify"].update(tag=LONG), "unknown justification 'xxx"),
+@pytest.mark.parametrize("edit,reason_start,args", [
+    (lambda obj: obj["nodes"][0]["justify"].update(tag=LONG), "unknown justification 'xxx",
+     CASE_4A_B0),
     (lambda obj: obj["nodes"][0]["claim"].update(kind=LONG),
-     "malformed node: unknown claim kind 'xxx"),
+     "malformed node: unknown claim kind 'xxx", CASE_4A_B0),
+    # a case-4a chain at b = 0 states no bit
     (lambda obj: obj["nodes"][_first_with(obj, lambda nd: "bit" in nd["claim"])]["claim"]
-     .update(bit=LONG), "malformed node: claim bit 'xxx"),
+     .update(bit=LONG), "malformed node: claim bit 'xxx", CASE_1),
     (lambda obj: obj["nodes"][_first_with(obj, lambda nd: nd["refs"])]["refs"]
-     .__setitem__(0, LONG), "reference 'xxx"),
+     .__setitem__(0, LONG), "reference 'xxx", CASE_4A_B0),
     (lambda obj: obj["nodes"][0]["claim"]["a"].update(sigma=LONG),
-     "malformed node: sigma index 'xxx"),
+     "malformed node: sigma index 'xxx", CASE_4A_B0),
     (lambda obj: obj["nodes"][0]["claim"]["a"].update(sigma=[[LONG]] * 3),
-     "malformed node: sigma index [['xxx"),
-    (lambda obj: obj.update(conclusion=LONG), "unknown conclusion 'xxx"),
-], ids=["tag", "kind", "bit", "refs", "sigma", "nested-sigma", "conclusion"])
-def test_reason_quoting_a_long_value_stays_short(edit, reason_start):
+     "malformed node: sigma index [['xxx", CASE_4A_B0),
+    (lambda obj: obj.update(conclusion=LONG), "unknown conclusion 'xxx", CASE_4A_B0),
+    (lambda obj: obj["nodes"][0]["justify"].update({LONG: 0}),
+     "malformed node: unexpected field 'xxx", CASE_4A_B0),
+], ids=["tag", "kind", "bit", "refs", "sigma", "nested-sigma", "conclusion", "field"])
+def test_reason_quoting_a_long_value_stays_short(edit, reason_start, args):
     """A 100,000-character value used to be quoted whole, so the reason
     (one stdout line of `pcsp verify`) grew with the file; the node that
     fails is the one a short value fails at."""
-    obj = json.loads(_text(CASE_4A_B0))
-    tmpl = ProofContext(*CASE_4A_B0).canonical_template()
+    obj = json.loads(_text(args))
+    tmpl = ProofContext(*args).canonical_template()
     edit(obj)
     long_value = _verdict(obj, tmpl)
     text = json.dumps(obj).replace(LONG, "y")

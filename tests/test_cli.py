@@ -139,6 +139,28 @@ def test_verify_names_a_missing_field(tmp_path):
     assert (code, out) == (1, "INVALID node=2 reason=malformed node: missing field 'a'\n")
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: obj.update(nodes={}), "nodes is not a JSON array"),
+    (lambda obj: obj["nodes"][0].update(refs={}), "node 0: refs is not a JSON array"),
+    (lambda obj: obj["nodes"].__setitem__(3, [obj["nodes"][3]]), "node 3 is not a JSON object"),
+    (lambda obj: obj["nodes"][3].pop("claim"), "node 3 has no field 'claim'"),
+    (lambda obj: obj.pop("nodes"), "missing field 'nodes'"),
+    (lambda obj: obj.update(context=[]), "list indices must be integers or slices, not str"),
+], ids=["nodes", "refs", "node", "node-field", "field", "context"])
+def test_verify_reads_containers_strictly(tmp_path, capsys, edit, message):
+    """An object where an array belongs used to be read as its keys, so
+    `"refs": {}` on node 0 verified VALID and `"nodes": {}` was an empty
+    certificate; a missing field was named by its key alone."""
+    obj = json.loads((Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json")
+                     .read_text())
+    edit(obj)
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(obj))
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    err = _usage_error(["verify", str(cert), "-t", tpath], capsys)
+    assert err == f"error: {cert}: malformed certificate: {message}\n"
+
+
 def test_certify_small_p_reports(tmp_path):
     code, _ = invoke(["certify", "-r", "1", "-s", "3", "--case", "4a",
                       "-p", "7", "-b", "1"])

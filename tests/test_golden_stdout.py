@@ -108,17 +108,17 @@ def test_table_stdout_is_pinned():
 
 # (r, s, case, p, b): README minimal-p cases at b = 1 and small b = 0 chains
 CERTIFY_SHA = {
-    (1, 3, "4a", 13, 1): "ba9f73ef880a9ddc960a1f9ec573f04a3760ab892d895fbb7c12f1c16d8b4a8d",
-    (2, 4, "4a", 29, 1): "88343a261f118fe660c0ba214ec855a542fe43b31b78538937df5d8255f7a894",
-    (2, 4, "2", 29, 1): "c263946cb55dfc8703fdf141f19094a5a53acf2b8543956f2b169b319293cce9",
-    (2, 5, "1", 31, 1): "12195839214e0e2e8d2a727c86708c8c4584622cd40ed425614e44c0b6103de1",
-    (1, 3, "4a", 19, 1): "d35d9e3df10e2fc93bf27bdc06bceb4e71b5de6570c4084775f9bc17bf66f8af",
-    (1, 3, "4a", 7, 0): "5272537243902785f5750785026644557f4406e15b4ab01e026b1100a3aa3027",
-    (2, 4, "4a", 17, 0): "2d0724e05fde45c23f221bd3418b5638ef52bceb95ad0909914f854fbdbb38b2",
-    (2, 4, "3", 17, 0): "afcad16fd9b7328c14a07bd34c8d75b82a68b463bf22fe3d327737d7baa05eee",
-    (2, 5, "4b", 11, 0): "c4f0b4f003548505158652b97b35b45660f8bc560d1daca1aff649fe914198e6",
-    (2, 4, "2", 13, 0): "711564dac01c10887a9646a9d7844a4a5f672648cb1613b9c9bdd653c8d884fe",
-    (2, 5, "1", 11, 0): "5237b42c309462df3cfb3c16382eb7ae2bb4307a62359484538c7a5040d23e20",
+    (1, 3, "4a", 13, 1): "1515e979e0be938487170f5410c1b7e2a161f7c4502d8e0637ee19918534511f",
+    (2, 4, "4a", 29, 1): "6409cf0c9dbfba5e5b21a50e178ebee4be79ccdb1e7ba44389499a8100eeabc9",
+    (2, 4, "2", 29, 1): "4725cd4299117fdd0a36a23b7e57de59174daefaf888600c087dd4ad2602fac0",
+    (2, 5, "1", 31, 1): "e844860a52045c96abe580854269dc6264db9db84077acb6aba648f76a47e42f",
+    (1, 3, "4a", 19, 1): "09dcfc1be4fe68a4eeebf88573efd7d825fbb3b85c56dc74c1ef9d84a4986790",
+    (1, 3, "4a", 7, 0): "ea645468732392cb34e9297d43861d88ee07353a805e4fb46ce262eacc7c5ef6",
+    (2, 4, "4a", 17, 0): "adaa4c5008b91a1a2b60b5a844edffc25cf14a26bd312cad61edf951698d35cf",
+    (2, 4, "3", 17, 0): "71ac668c4a76ecda8243137cab3a6e6370636bfa8c3dc77dbcc08f68825998c6",
+    (2, 5, "4b", 11, 0): "c3e8579c4c98e1adbe897b83e9ffa9f02726b65423342cd23e77cae6486202c9",
+    (2, 4, "2", 13, 0): "992910b83fe1590d5530e1e0b23cd1e671657ddca3f5f011d2fd86365bb4b2cd",
+    (2, 5, "1", 11, 0): "d0d9c3376346808a3659ac4e748dd3b75416ac4a3f6057d2688c080163670798",
 }
 
 
@@ -145,4 +145,4 @@ def test_cert_sweep_below_32_is_pinned():
     lines = [sweep.sweep_line(ctx) + "\n" for ctx in sweep.contexts(32)]
     assert len(lines) == 156
     assert _sha("".join(lines)) == \
-        "36592017b5e4f87fa1db21d28d5c8618ae0583577989a4d96e069349f4f32b6c"
+        "8c1e6fc09500a223f8a2456b8a89d44a157c14b6711199005cbd6fd4d5763fac"

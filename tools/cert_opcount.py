@@ -16,6 +16,13 @@ Only bytecode is counted, not the work inside C functions (`json`, `sorted`
 and the like).  Unlike CPU time on a shared host, the counts repeat exactly
 from run to run, so two checkouts can be compared with diff.
 
+A count stands in for time only where an edit keeps the work in bytecode.
+An edit that moves a short loop into C-level calls (`min`/`max`/`sum`,
+`set(map(...))`, `collections.Counter`, a comprehension over a handful of
+items) cuts the count and can still make the phase slower: CPython 3.11
+pays more per such call than a 2- to 5-step loop costs.  Time such edits
+against each other, alternated in one process, before reading a count.
+
 Usage: PYTHONPATH=src python3 tools/cert_opcount.py
 """
 
