@@ -600,8 +600,13 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"bad JSON: {e}")
     try:
         c = obj["context"]
-        ctx = ProofContext(c["r"], c["s"], c["case"], c["p"], c["b"],
-                           c["exponent_preset"])
+        if type(c) is not dict:
+            raise CertificateError("malformed certificate: context is not a JSON object")
+        preset = c["exponent_preset"]
+        if type(preset) is not str:  # a list or object would not hash
+            raise CertificateError(f"malformed certificate: exponent_preset "
+                                   f"{_quote(preset)} is not a string")
+        ctx = ProofContext(c["r"], c["s"], c["case"], c["p"], c["b"], preset)
         # theta is stored as the string the writer prints, in lowest terms
         theta = ctx.theta
         if c["theta"] != f"{theta.numerator}/{theta.denominator}":
@@ -631,9 +636,7 @@ def certificate_from_json(text: str) -> Certificate:
         conclusion = obj["conclusion"]
     except KeyError as e:
         raise CertificateError(f"malformed certificate: missing field {e}")
-    except TypeError as e:
-        # a certificate or context that is not an object, or an unhashable
-        # context value
+    except TypeError as e:  # a certificate that is not an object
         raise CertificateError(f"malformed certificate: {e}")
     return Certificate(ctx, tuple(nodes), conclusion)
 
@@ -957,10 +960,11 @@ def gen_stepone_chain(ctx: ProofContext) -> List[Node]:
     """The 1-D tameness chain: case-specific plausible tuples plus negation
     steps, as the generator emits them, unchecked.
 
-    These are the nodes that `propagate` re-derives on its own.  Their refs
-    may name the closure lemmas emitted between them, which the chain leaves
-    out: `propagate` reads only the justifications."""
-    return _CertBuilder(ctx).stepone_chain()
+    These are the nodes that `propagate` re-derives on its own, reading
+    only their justifications; their refs name earlier chain nodes."""
+    builder = _CertBuilder(ctx)
+    builder._emit_stepone()
+    return builder.nodes
 
 
 @dataclass
@@ -1265,11 +1269,10 @@ class _CertBuilder:
     claim relates the two.  No node is checked here: `gen_certificate`
     re-derives each one once, in its final `verify_certificate`.
 
-    Closure lemmas keep the forest flat: a term whose tree path to its root
-    spans several facts gets one closure node stating its relation to the
-    root, and links straight to the root through it.  Every relation the
-    generator asks for then costs at most two references, however long the
-    chain behind it."""
+    Every claim relates a new term straight to the root of the class it
+    joins, so no σ-term is more than one link below its root.  A relation
+    between two known terms then costs one reference per term: the node
+    that links it to the root."""
 
     def __init__(self, ctx: ProofContext):
         self.ctx = ctx
@@ -1277,47 +1280,17 @@ class _CertBuilder:
         # term -> None for a root, else (parent, parity to it, node id)
         self.up: Dict[tuple, Optional[Tuple[tuple, int, int]]] = {}
         self.forced_ids: Dict[int, int] = {}
-        self.abs_zero_id: Optional[int] = None
         self.tame_ids: Dict[tuple, int] = {}
 
     def _to_root(self, t) -> Tuple[tuple, int, Optional[int]]:
-        """t's root, t's parity to it, and the one node between (None when
-        t is the root).  A term further down gets a closure lemma, top-down,
-        that links it straight to the root."""
-        link = self.up[t]
-        if link is None:
-            return t, 0, None
-        parent, parity, nid = link
-        if self.up[parent] is None:
-            return link
-        # Terms two links below the constant are rectangles, which no rule
-        # asks about, so a lemma never relates a term to the constant.
-        root, parent_parity, parent_id = self._to_root(parent)
-        parity ^= parent_parity
-        claim = (claim_distinct if parity else claim_equal)(t, root)
-        lemma = self.emit(claim, (t, root, parity), {"tag": "closure"}, [nid, parent_id])
-        self.up[t] = link = (root, parity, lemma)
-        return link
+        """A known σ-term's root, its parity to it, and the one node between
+        (None when t is the root)."""
+        return self.up[t] or (t, 0, None)
 
-    def refs_for(self, pairs) -> List[int]:
-        """The nodes that relate the two distinct terms of each pair: the one
-        node linking each term straight to their common root.  Unsorted and maybe
-        repeated; `emit` sorts them once."""
-        up = self.up
-        ids: List[int] = []
-        for x, y in pairs:
-            if x in up and y in up:
-                rx, _, nx = self._to_root(x)
-                ry, _, ny = self._to_root(y)
-                if rx == ry:
-                    # a root has no link; two terms never share one
-                    if nx is not None:
-                        ids.append(nx)
-                    if ny is not None:
-                        ids.append(ny)
-                    continue
-            raise GenerationError(f"no established fact links {x} and {y}")
-        return ids
+    def _links(self, terms) -> List[int]:
+        """The node linking each known term to its root; a root, or a term
+        not yet named, has none.  Maybe repeated; `emit` sorts them once."""
+        return [link[2] for link in map(self.up.get, terms) if link]
 
     def emit(self, claim: dict, edge: tuple, justify: dict, refs) -> int:
         """Append a node; `edge` is the parity edge the claim states, from
@@ -1347,11 +1320,6 @@ class _CertBuilder:
         return self.emit(claim_tame(blocks), edge, justify, refs)
 
     # -- the 1-D chain --
-
-    def stepone_chain(self) -> List[Node]:
-        """Emit the case's chain; return its nodes without the lemmas."""
-        self._emit_stepone()
-        return [n for n in self.nodes if n.justify["tag"] != "closure"]
 
     def _emit_stepone(self):
         if self.ctx.case == "2":
@@ -1386,36 +1354,40 @@ class _CertBuilder:
                             {"tag": "plausible1d", "tuples": [ks], "twin": False}, refs)
             neg_ids[k] = self.emit(claim_absolute(n - k, 1), (sigma_term(n - k), ZERO, 1),
                                    {"tag": "negation", "k": k}, [nid])
-        self.abs_zero_id = nid  # the last tuple states u_0 = 0
 
     def _chain_case_4(self):
         """Shared by the not-all-equal cases and the exact r = s/2 case, which
-        runs the same tuple lists with the complement rule folded in."""
+        runs the same tuple lists with the complement rule folded in.  Each
+        tuple forces one new term to differ from a known one, and its node
+        states that as the new term's relation to the root, u_a."""
         ctx = self.ctx
         r, s, a = ctx.r, ctx.s, ctx.a
         u = sigma_term
+        up = self.up
+        up[u(a)] = None  # the root of every term the chain names
 
-        def emit_distinct(x, y, ks, known_pairs):
-            refs = self.refs_for(known_pairs)
-            x, y = u(x), u(y)
-            return self.emit(claim_distinct(x, y), (x, y, 1),
-                             {"tag": "plausible1d", "tuples": [list(ks)],
-                              "twin": _twin_available(ks, ctx)}, refs)
+        def emit_distinct(new, known, ks):
+            """u_new differs from u_known, by the tuple ks; the node cites the
+            link of each known term of ks to the root."""
+            root, parity, _ = self._to_root(u(known))
+            x = u(new)
+            claim = claim_equal if parity else claim_distinct
+            self.emit(claim(root, x), (root, x, parity ^ 1),
+                      {"tag": "plausible1d", "tuples": [ks],
+                       "twin": _twin_available(ks, ctx)}, self._links(map(u, set(ks))))
 
-        emit_distinct(a, a + 1, [a] * (s - r) + [a + 1] * r, [])
+        emit_distinct(a + 1, a, [a] * (s - r) + [a + 1] * r)
         if ctx.case == "4b":
-            emit_distinct(a, a + r, [a] * (s - 1) + [a + r], [])
+            emit_distinct(a + r, a, [a] * (s - 1) + [a + r])
             emit_distinct(a - 1, a + 1,
-                          [a - 1] * ((s - 1) // 2) + [a + 1] * ((s - 1) // 2) + [a + r],
-                          [(u(a + 1), u(a + r))])
+                          [a - 1] * ((s - 1) // 2) + [a + 1] * ((s - 1) // 2) + [a + r])
         else:
-            emit_distinct(a + 1, a - 1,
-                          [a - 1] * ((s - r) // 2) + [a + 1] * ((s + r) // 2), [])
+            emit_distinct(a - 1, a + 1,
+                          [a - 1] * ((s - r) // 2) + [a + 1] * ((s + r) // 2))
         for i in range(2, a + 1):
             if ctx.case == "4b":
                 first = [a + i] * (r // 2) + [a] * (s - r) + [a - i + 2] * (r // 2)
                 second = [a - i] * ((s - 1) // 2) + [a + i] * ((s - 1) // 2) + [a + r]
-                above = a + r
             else:
                 if ((s + r) // 2) % 2 == 0:
                     first = ([a + i] * ((s + r) // 4) + [a - 1] * ((s - r) // 2)
@@ -1424,20 +1396,11 @@ class _CertBuilder:
                     first = ([a + i] * ((s + r + 2) // 4) + [a - 1] * ((s - r - 2) // 2)
                              + [a - i + 1] * 2 + [a - i + 2] * ((s + r - 6) // 4))
                 second = [a - i] * ((s - r) // 2) + [a + i] * ((s - r) // 2) + [a + 1] * r
-                above = a + 1
-            low_needed = sorted((set(first) | {a - i + 1}) - {a + i, a})
-            emit_distinct(a - i + 1, a + i, first, [(u(x), u(a)) for x in low_needed])
-            emit_distinct(a + i, a - i, second,
-                          [(u(a + i), u(a)), (u(above), u(a))])
-
-    def _root(self, t) -> tuple:
-        """t's root, found without emitting anything."""
-        up = self.up
-        link = up[t]
-        while link is not None:
-            t = link[0]
-            link = up[t]
-        return t
+            # in case 4b, u_(a+r) is named at the start, so at i = r the first
+            # tuple has no new term
+            if u(a + i) not in up:
+                emit_distinct(a + i, a - i + 1, first)
+            emit_distinct(a - i, a + i, second)
 
     def build_chain(self):
         """Emit the step-one chain and check that its facts link every index
@@ -1449,28 +1412,26 @@ class _CertBuilder:
         for i in range(1, a + 1):
             order.extend([a + i, a - i])
         up = self.up
-        root0 = self._root(_SIGMA0) if _SIGMA0 in up else None
+        root0 = self._to_root(_SIGMA0)[0] if _SIGMA0 in up else None
         for k in order:
             x = sigma_term(k)
-            if x not in up or self._root(x) != root0:
+            if x not in up or self._to_root(x)[0] != root0:
                 raise GenerationError(f"no established fact links {x} and {_SIGMA0}")
 
     def forced(self, k: int) -> int:
         """The closure node stating u_k's tame relation to u_0, for
-        0 <= k <= 2a: emitted, with its lemmas, the first time it is cited."""
+        0 <= k <= 2a: emitted the first time it is cited, on the links of
+        u_k and u_0 to their common root."""
         nid = self.forced_ids.get(k)
         if nid is None:
             x = sigma_term(k)
             bit = self.ctx.tame_bit(k)
             nid = self.forced_ids[k] = self.emit(
                 claim_forced(k, bit), (x, _SIGMA0, bit), {"tag": "closure"},
-                self.refs_for([(x, _SIGMA0)]) if k else [])
+                self._links((x, _SIGMA0)) if k else [])
         return nid
 
     # -- induction over almost rectangles --
-
-    def _case_refs(self) -> List[int]:
-        return [self.abs_zero_id] if self.ctx.case == "1" else []
 
     def ensure_tame(self, blocks, depth: int = 0) -> int:
         ctx = self.ctx
@@ -1522,7 +1483,7 @@ class _CertBuilder:
                 {"tag": "halving", "m": ctx.m_half, "blocks": list(blocks),
                  "l": list(l_ar.blocks), "l1": list(h1.blocks),
                  "l2": list(h2.blocks), "twin": ctx.has_neq, "pad": ctx.zero_pad},
-                [s1, s2] + self._case_refs())
+                [s1, s2])
         except GenerationError:
             return None
 
@@ -1537,7 +1498,7 @@ class _CertBuilder:
             blocks,
             {"tag": "completion", "m": ctx.m_flip, "blocks": list(blocks),
              "l": list(w_ar.blocks), "twin": ctx.has_neq, "pad": ctx.zero_pad},
-            [sub] + self._case_refs())
+            [sub])
 
 
 def _finale_heights(ctx: ProofContext, z2: int) -> int:

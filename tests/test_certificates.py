@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pcsp import certificates
-from pcsp.certificates import (Certificate, CertificateError, EvalTuple,
+from pcsp.certificates import (CertificateError, EvalTuple,
                                GenerationError, ProofContext,
                                StaggerParams, area,
                                as_almost_rectangle, build_shift_matrix_1d,
@@ -47,10 +48,11 @@ def canonical_template(ctx):
 
 
 def assert_linear_refs(cert):
-    """Closure lemmas keep every node's hints constant in size."""
+    """Every claim is stated against its class root, so a node's hints stay
+    constant in size."""
     refs = [len(n.refs) for n in cert.nodes]
-    assert max(refs) <= 4
-    assert sum(refs) <= 3 * len(cert.nodes)
+    assert max(refs) <= 3
+    assert sum(refs) <= 2 * len(cert.nodes)
 
 
 # -- contexts, tuples, areas ----------------------------------------------------
@@ -625,19 +627,38 @@ def test_full_certificates_other_cases():
         assert_linear_refs(cert)
 
 
-def test_every_hint_is_needed():
+# the README's minimal-p cases, at b = 1
+README_CASES = [(1, 3, "4a", 13, 1), (2, 4, "4a", 29, 1), (2, 4, "2", 29, 1),
+                (2, 4, "3", 29, 1), (2, 5, "1", 31, 1), (2, 5, "4b", 31, 1)]
+
+
+def _check_as_verified(node, ctx, q_weights, edges, has_neq):
+    """One node's check as `verify_certificate` runs it, after the nodes
+    whose edges are given: a malformed node is a reason too."""
+    try:
+        return certificates._check_node(node, ctx, q_weights, edges, has_neq)
+    except (KeyError, TypeError, ValueError) as e:
+        return f"malformed node: {e}"
+
+
+@pytest.mark.parametrize("args", README_CASES)
+def test_every_hint_is_needed(args):
     """Each node's refs are exactly the facts its rule uses: dropping any
-    one of them makes the verifier reject that very node."""
-    cert = gen_certificate(ProofContext(1, 3, "4a", 13, 1))
-    dropped = 0
-    for i, node in enumerate(cert.nodes):
+    one of them makes the verifier reject that very node.  The cut node is
+    checked against the edges of the nodes before it, which pass
+    unchanged, so that is where the verifier stops."""
+    ctx = ProofContext(*args)
+    cert = gen_certificate(ctx)
+    q_weights, has_neq = certificates._match_template(ctx, ctx.canonical_template())
+    edges, dropped = [], 0
+    for node in cert.nodes:
         for j in range(len(node.refs)):
             fewer = dataclasses.replace(node, refs=node.refs[:j] + node.refs[j + 1:])
-            nodes = cert.nodes[:i] + (fewer,) + cert.nodes[i + 1:]
-            result = verify_certificate(Certificate(cert.context, nodes,
-                                                    cert.conclusion), T13)
-            assert not result.ok and result.failed_node == i, (i, node.refs[j])
+            got = _check_as_verified(fewer, ctx, q_weights, edges, has_neq)
+            assert type(got) is str, (node.id, node.refs[j])
             dropped += 1
+        edges.append(_check_as_verified(node, ctx, q_weights, edges, has_neq))
+        assert type(edges[-1]) is tuple, node.id
     assert dropped > len(cert.nodes)
 
 
@@ -671,16 +692,40 @@ def test_certificate_with_unused_closures_still_verifies():
         assert not result.ok and result.failed_node is not None
 
 
-def test_generation_emits_only_nodes_the_fuller_certificate_held():
-    """Emitting only the nodes the conclusion reads drops nodes and
-    renumbers refs, but states no claim by a justification that the
-    certificate with every forced closure did not hold."""
-    old = json.loads(FIXTURE_P13.read_text())["nodes"]
-    held = {json.dumps([nd["claim"], nd["justify"]], sort_keys=True) for nd in old}
+def test_generation_states_only_what_the_fuller_certificate_proved():
+    """Stating chain claims against the root, and emitting only the nodes
+    the conclusion reads, drops nodes, renumbers refs and restates claims.
+    Still, every justification is one that the fuller p = 13 certificate
+    (closure lemmas and every forced closure) held, and every claim follows
+    from that certificate's claims by parity closure.  Only chain claims
+    are restated: every other node is a (claim, justification) pair that
+    the fuller certificate held."""
+    old = certificate_from_json(FIXTURE_P13.read_text())
+    ctx = old.context
+    held = {json.dumps(node.justify, sort_keys=True) for node in old.nodes}
+    pairs = {json.dumps([node.claim, node.justify], sort_keys=True) for node in old.nodes}
+    edges = [certificates._claim_edge(node.claim, ctx) for node in old.nodes]
     cert = gen_certificate(ProofContext(1, 3, "4a", 13, 1))
-    assert len(cert.nodes) < len(old)
+    assert len(cert.nodes) < len(old.nodes)
     for node in cert.nodes:
-        assert json.dumps([node.claim, node.justify], sort_keys=True) in held, node.id
+        assert json.dumps(node.justify, sort_keys=True) in held, node.id
+        if node.justify["tag"] != "plausible1d":
+            assert json.dumps([node.claim, node.justify], sort_keys=True) in pairs, node.id
+        x, y, parity = certificates._claim_edge(node.claim, ctx)
+        assert _parity_closure(edges, x, y) == parity, node.id
+
+
+@functools.lru_cache(maxsize=None)
+def _swept_certificates() -> tuple:
+    """(context, nodes) for each certificate that tools/cert_sweep.py
+    generates at p < 32."""
+    swept = []
+    for ctx in _load_cert_sweep().contexts(32):
+        try:
+            swept.append((ctx, gen_certificate(ctx).nodes))
+        except GenerationError:
+            pass
+    return tuple(swept)
 
 
 def test_swept_certificates_hold_only_what_their_conclusion_reads():
@@ -688,13 +733,8 @@ def test_swept_certificates_hold_only_what_their_conclusion_reads():
     through refs from a boundedness node; at b = 0, whose conclusion reads
     every claim, no claim is a forced closure and every closure lemma is
     cited by a later node."""
-    sweep = _load_cert_sweep()  # tools/cert_sweep.py
     checked = {0: 0, 1: 0}
-    for ctx in sweep.contexts(32):
-        try:
-            nodes = gen_certificate(ctx).nodes
-        except GenerationError:
-            continue
+    for ctx, nodes in _swept_certificates():
         if ctx.b == 0:
             cited = {rid for node in nodes for rid in node.refs}
             assert all(node.claim["kind"] != "forced" for node in nodes), ctx
@@ -708,6 +748,21 @@ def test_swept_certificates_hold_only_what_their_conclusion_reads():
             assert reached == set(range(len(nodes))), ctx
         checked[min(ctx.b, 1)] += 1
     assert checked == {0: 52, 1: 26}  # 78 certificates, as in the sweep's pin
+
+
+def test_swept_certificates_state_every_relation_against_the_root():
+    """Over the sweep's contexts with p < 32, every chain claim relates its
+    new term straight to the root of its class, so no closure lemma is
+    needed: no closure node relates two terms (only the forced closures
+    that double_cyclicity nodes cite remain), and no node cites more than
+    three facts."""
+    swept = _swept_certificates()
+    assert len(swept) == 78
+    for ctx, nodes in swept:
+        for node in nodes:
+            if node.justify["tag"] == "closure":
+                assert node.claim["kind"] == "forced", (ctx, node.id)
+            assert len(node.refs) <= 3, (ctx, node.id)
 
 
 def test_generation_reports_small_p():
@@ -773,12 +828,13 @@ class _CountingDSU(certificates.ParityDSU):
 
 @pytest.mark.parametrize("args,conclusion,made", [
     ((1, 3, "4a", 13, 1), "contradiction", 0), ((2, 4, "4a", 29, 1), "contradiction", 0),
-    ((1, 3, "4a", 7, 0), "tame_base", 0), ((1, 3, "4a", 31, 0), "tame_base", 0)])
+    ((1, 3, "4a", 13, 0), "tame_base", 0), ((1, 3, "4a", 31, 0), "tame_base", 0)])
 def test_verification_builds_no_union_find_per_node(monkeypatch, args, conclusion, made):
     """Node checks and the tame_base replay of all the claims read flat
     classes: verification builds no union-find, whatever the node count."""
     cert = gen_certificate(ProofContext(*args))
     assert cert.conclusion == conclusion and len(cert.nodes) > 50
+    assert any(node.claim["kind"] == "distinct" for node in cert.nodes)
     monkeypatch.setattr(_CountingDSU, "made", 0)
     monkeypatch.setattr(certificates, "ParityDSU", _CountingDSU)
     assert verify_certificate(cert, cert.context.canonical_template()).ok
@@ -789,11 +845,10 @@ def test_replay_names_the_first_contradicting_claim(monkeypatch):
     """A node's check reads only its refs, so a claim can pass it and still
     contradict an earlier node; the tame_base replay names the first such
     claim.  The check is let through for the appended nodes: a restatement
-    of node 1, then two negations of it."""
-    cert = gen_certificate(CTX137)
-    assert cert.conclusion == "tame_base"
-    claim = cert.nodes[1].claim
-    assert claim["kind"] == "distinct"
+    of the first distinct claim, then two negations of it."""
+    cert = gen_certificate(ProofContext(1, 3, "4a", 13, 0))
+    assert cert.conclusion == "tame_base" and len(cert.nodes) > 50
+    claim = next(node.claim for node in cert.nodes if node.claim["kind"] == "distinct")
     negated = {**claim, "kind": "equal"}
     n = len(cert.nodes)
     extra = [certificates.Node(n + i, c, {"tag": "closure"}, ())

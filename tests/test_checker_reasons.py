@@ -130,7 +130,7 @@ FIELD_EDITS = [
      "justification is not a JSON object"),
     (CASE_4A, "closure", lambda nd: nd.update(refs=["0"]),
      "reference '0' is not an integer"),
-    (CASE_4A, "closure", _own_ref, "reference 2 is not an earlier node"),
+    (CASE_4A, "closure", _own_ref, "reference 62 is not an earlier node"),
     (CASE_4A, "closure", _drop_ref, "claim does not follow from the referenced facts"),
     (CASE_4A, "closure", _flip_claim, "claim contradicts the referenced facts"),
     (CASE_4A, "closure", _set("justify", "tag", "hint"), "unknown justification 'hint'"),
@@ -194,8 +194,8 @@ FIELD_EDITS = [
     # a field that no rule reads, on each kind of object a node holds
     (CASE_4A, "closure", lambda nd: nd.update(note=1), "malformed node: unexpected field 'note'"),
     (CASE_4A, "closure", _set("justify", "k", 1), "malformed node: unexpected field 'k'"),
-    (CASE_4A, "closure", _set("claim", "bit", 1), "malformed node: unexpected field 'bit'"),
-    (CASE_4A, "closure", lambda nd: nd["claim"]["a"].update(blocks=[0] * 13),
+    (CASE_4A, "plausible1d", _set("claim", "bit", 1), "malformed node: unexpected field 'bit'"),
+    (CASE_4A, "plausible1d", lambda nd: nd["claim"]["a"].update(blocks=[0] * 13),
      "malformed node: unexpected field 'blocks'"),
     (CASE_4A, "plausible1d", _set("justify", "pad", 0), "malformed node: unexpected field 'pad'"),
     (CASE_1, "plausible1d", _set("claim", "a", {"sigma": 0}),
@@ -260,6 +260,7 @@ def test_template_that_does_not_match_the_context(args, pairs):
     ("case", "x" * 1000, "unknown case 'xxx"),
     ("r", -1, "need r >= 0, s >= 1 and p >= 1"),
     ("exponent_preset", "fast", "unknown preset 'fast'"),
+    ("exponent_preset", [], "malformed certificate: exponent_preset [] is not a string"),
     ("b", -1, "b must be >= 0"),
 ])
 def test_context_that_is_refused(field, value, message):

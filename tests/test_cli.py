@@ -145,12 +145,14 @@ def test_verify_names_a_missing_field(tmp_path):
     (lambda obj: obj["nodes"].__setitem__(3, [obj["nodes"][3]]), "node 3 is not a JSON object"),
     (lambda obj: obj["nodes"][3].pop("claim"), "node 3 has no field 'claim'"),
     (lambda obj: obj.pop("nodes"), "missing field 'nodes'"),
-    (lambda obj: obj.update(context=[]), "list indices must be integers or slices, not str"),
-], ids=["nodes", "refs", "node", "node-field", "field", "context"])
+    (lambda obj: obj.update(context=[]), "context is not a JSON object"),
+    (lambda obj: obj["context"].update(exponent_preset=[]), "exponent_preset [] is not a string"),
+], ids=["nodes", "refs", "node", "node-field", "field", "context", "preset"])
 def test_verify_reads_containers_strictly(tmp_path, capsys, edit, message):
     """An object where an array belongs used to be read as its keys, so
     `"refs": {}` on node 0 verified VALID and `"nodes": {}` was an empty
-    certificate; a missing field was named by its key alone."""
+    certificate; a missing field was named by its key alone, and a context
+    of the wrong type by the bare TypeError text."""
     obj = json.loads((Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json")
                      .read_text())
     edit(obj)

@@ -108,15 +108,15 @@ def test_table_stdout_is_pinned():
 
 # (r, s, case, p, b): README minimal-p cases at b = 1 and small b = 0 chains
 CERTIFY_SHA = {
-    (1, 3, "4a", 13, 1): "1515e979e0be938487170f5410c1b7e2a161f7c4502d8e0637ee19918534511f",
-    (2, 4, "4a", 29, 1): "6409cf0c9dbfba5e5b21a50e178ebee4be79ccdb1e7ba44389499a8100eeabc9",
+    (1, 3, "4a", 13, 1): "a911d2fc050aeff34846f3ddcd955abb73e0f48a822747addf049b6abef72a87",
+    (2, 4, "4a", 29, 1): "1dfeffa0c3d82b93796dada497bfa3c2c1458d0cb7e0752e96b4f8f55ad9e4c0",
     (2, 4, "2", 29, 1): "4725cd4299117fdd0a36a23b7e57de59174daefaf888600c087dd4ad2602fac0",
-    (2, 5, "1", 31, 1): "e844860a52045c96abe580854269dc6264db9db84077acb6aba648f76a47e42f",
-    (1, 3, "4a", 19, 1): "09dcfc1be4fe68a4eeebf88573efd7d825fbb3b85c56dc74c1ef9d84a4986790",
-    (1, 3, "4a", 7, 0): "ea645468732392cb34e9297d43861d88ee07353a805e4fb46ce262eacc7c5ef6",
-    (2, 4, "4a", 17, 0): "adaa4c5008b91a1a2b60b5a844edffc25cf14a26bd312cad61edf951698d35cf",
-    (2, 4, "3", 17, 0): "71ac668c4a76ecda8243137cab3a6e6370636bfa8c3dc77dbcc08f68825998c6",
-    (2, 5, "4b", 11, 0): "c3e8579c4c98e1adbe897b83e9ffa9f02726b65423342cd23e77cae6486202c9",
+    (2, 5, "1", 31, 1): "b3e0ba5e12b7758391c745cb36d39e4acfc0a3a09a2a5dca93af3f5ce02b2ee6",
+    (1, 3, "4a", 19, 1): "bcc7f603b5f956cba720486828d062b385d5a26c05e0a30981a2c6906b47561d",
+    (1, 3, "4a", 7, 0): "fd59bd21d536ba885ee2c2f86cc4bc30b01f5df455cb4122aadc9aa29ffcb3e7",
+    (2, 4, "4a", 17, 0): "96391c10e55a1c8185251163bf117dca2de82f2fee6b8383ccf68aa54dc6b1e5",
+    (2, 4, "3", 17, 0): "b8a82c8696e40b096505370015dd6347976f73857965d050e21d621bc150b9df",
+    (2, 5, "4b", 11, 0): "a9e16ea49b813bcf26da629bc07ffd33dac65d41a5fe007fa1df61c6debfd305",
     (2, 4, "2", 13, 0): "992910b83fe1590d5530e1e0b23cd1e671657ddca3f5f011d2fd86365bb4b2cd",
     (2, 5, "1", 11, 0): "d0d9c3376346808a3659ac4e748dd3b75416ac4a3f6057d2688c080163670798",
 }
@@ -145,4 +145,4 @@ def test_cert_sweep_below_32_is_pinned():
     lines = [sweep.sweep_line(ctx) + "\n" for ctx in sweep.contexts(32)]
     assert len(lines) == 156
     assert _sha("".join(lines)) == \
-        "8c1e6fc09500a223f8a2456b8a89d44a157c14b6711199005cbd6fd4d5763fac"
+        "df8d1b7dc16cf2e62705652aa52dd31d25b8e1fd5750349cfc7e4bc6e27d1c03"
