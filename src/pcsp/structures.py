@@ -39,7 +39,6 @@ class BoolRelation:
     arity: int
     weights: frozenset
     explicit_tuples: Optional[tuple] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.arity < 1:
@@ -92,11 +91,10 @@ class BoolRelation:
         explicit = None
         if self.explicit_tuples is not None:
             explicit = tuple(sorted(tuple(1 - x for x in t) for t in self.explicit_tuples))
-        return BoolRelation(self.arity, weights, explicit,
-                            name=f"swap({self.name})" if self.name else "")
+        return BoolRelation(self.arity, weights, explicit)
 
     def __str__(self):
-        return self.name or f"weights{sorted(self.weights)}/{self.arity}"
+        return f"weights{sorted(self.weights)}/{self.arity}"
 
 
 def _tuples_of_weights(arity: int, weights: frozenset) -> Iterator[tuple]:
@@ -119,7 +117,7 @@ def build_family(kind: str, *args: int) -> BoolRelation:
     if kind == "neq":
         if args:
             raise StructureError("neq takes no parameters")
-        return BoolRelation(2, frozenset([1]), name="neq")
+        return BoolRelation(2, frozenset([1]))
     if kind in ("exact", "atmost", "atleast"):
         if len(args) != 2:
             raise StructureError(f"{kind} needs (r, s)")
@@ -134,22 +132,22 @@ def build_family(kind: str, *args: int) -> BoolRelation:
         raise StructureError(f"r={r} outside 0..{s}")
 
     if kind == "odd":
-        weights, name = frozenset(w for w in range(s + 1) if w % 2 == 1), f"odd {s}"
+        weights = frozenset(w for w in range(s + 1) if w % 2 == 1)
     elif kind == "even":
-        weights, name = frozenset(w for w in range(s + 1) if w % 2 == 0), f"even {s}"
+        weights = frozenset(w for w in range(s + 1) if w % 2 == 0)
     elif kind == "exact":
-        weights, name = frozenset([r]), f"rin {r} {s}"
+        weights = frozenset([r])
     elif kind == "atmost":
-        weights, name = frozenset(range(0, r + 1)), f"atmost {r} {s}"
+        weights = frozenset(range(0, r + 1))
     elif kind == "atleast":
-        weights, name = frozenset(range(r, s + 1)), f"atleast {r} {s}"
+        weights = frozenset(range(r, s + 1))
     elif kind == "nae":
-        weights, name = frozenset(range(1, s)), f"nae {s}"
+        weights = frozenset(range(1, s))
     elif kind == "full":
-        weights, name = frozenset(range(0, s + 1)), f"full {s}"
+        weights = frozenset(range(0, s + 1))
     else:  # const
-        weights, name = frozenset([0, s]), f"const {s}"
-    return BoolRelation(s, weights, name=name)
+        weights = frozenset([0, s])
+    return BoolRelation(s, weights)
 
 
 @dataclass(frozen=True)
@@ -386,7 +384,7 @@ def _parse_relation_spec(tokens: list, pos: int, lineno: int):
             except ValueError:
                 raise ParseError(lineno, f"bad tuple {part!r}")
         try:
-            rel = BoolRelation(s, frozenset(), tuple(tups), name=f"explicit {s}")
+            rel = BoolRelation(s, frozenset(), tuple(tups))
         except StructureError as e:
             raise ParseError(lineno, str(e))
         return rel, pos + 1 + argc
@@ -448,29 +446,27 @@ def format_template(t: Template) -> str:
 
 
 def _format_relation(rel: BoolRelation) -> str:
+    """The spec `_parse_relation_spec` reads back as rel: a family spec
+    when rel's weights form one, else its tuples, sorted."""
     if rel.is_neq():
         return "neq"
-    if rel.name and not rel.name.startswith("swap("):
-        return rel.name
-    if not rel.symmetric:
-        body = ";".join(",".join(str(x) for x in t) for t in sorted(rel.explicit_tuples))
-        return f"explicit {rel.arity} {body}"
     s, w = rel.arity, set(rel.weights)
-    if w == set(range(0, s + 1)):
-        return f"full {s}"
-    if w == {x for x in range(s + 1) if x % 2 == 1}:
-        return f"odd {s}"
-    if w == {x for x in range(s + 1) if x % 2 == 0}:
-        return f"even {s}"
-    if w == set(range(1, s)):
-        return f"nae {s}"
-    if len(w) == 1:
-        return f"rin {next(iter(w))} {s}"
-    if w and w == set(range(0, max(w) + 1)):
-        return f"atmost {max(w)} {s}"
-    if w and w == set(range(min(w), s + 1)):
-        return f"atleast {min(w)} {s}"
-    body = ";".join(",".join(str(x) for x in t) for t in rel.tuples())
+    if rel.symmetric:
+        if w == set(range(0, s + 1)):
+            return f"full {s}"
+        if w == {x for x in range(s + 1) if x % 2 == 1}:
+            return f"odd {s}"
+        if w == {x for x in range(s + 1) if x % 2 == 0}:
+            return f"even {s}"
+        if w == set(range(1, s)):
+            return f"nae {s}"
+        if len(w) == 1:
+            return f"rin {next(iter(w))} {s}"
+        if w and w == set(range(0, max(w) + 1)):
+            return f"atmost {max(w)} {s}"
+        if w and w == set(range(min(w), s + 1)):
+            return f"atleast {min(w)} {s}"
+    body = ";".join(",".join(str(x) for x in t) for t in sorted(rel.tuples()))
     return f"explicit {s} {body}"
 
 

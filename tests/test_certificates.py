@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from pcsp import certificates
-from pcsp.certificates import (CertificateError, EvalTuple,
-                               GenerationError, ProofContext,
+from pcsp.certificates import (CertificateError, GenerationError, ProofContext,
                                StaggerParams, area,
                                as_almost_rectangle, build_shift_matrix_1d,
                                build_shift_matrix_2d, certificate_from_json,
@@ -77,8 +76,7 @@ def test_area_examples():
     p = 7
     assert area((p,) * p, p) == 1
     assert area((0,) * p, p) == 0
-    assert area(EvalTuple.flat(16, 7), 7) == Fraction(16, 49)
-    assert EvalTuple.flat(16, 7).blocks == (7, 7, 2, 0, 0, 0, 0)
+    assert area((7, 7, 2, 0, 0, 0, 0), 7) == Fraction(16, 49)
 
 
 def test_almost_rectangle_recognition():
@@ -177,7 +175,7 @@ def test_shift_matrix_1d_rejects_implausible():
 
 def test_shift_matrix_2d_from_completion():
     rows, l = complete_plausible((3, 3, 3, 2, 2, 2, 2), 2, CTX137)
-    family = [r.blocks for r in rows] + [l.blocks]
+    family = rows + [l.blocks]
     matrix, ok = build_shift_matrix_2d(family, CTX137)
     assert ok and len(matrix) == 3 and len(matrix[0]) == 49
     for j in range(49):
@@ -217,20 +215,20 @@ def test_complete_plausible_exact_rectangle():
 
 def test_complete_plausible_example():
     rows, l = complete_plausible((3, 3, 3, 2, 2, 2, 2), 1, CTX137)
-    assert rows[0].blocks == (3, 3, 3, 2, 2, 2, 2)
+    assert rows[0] == (3, 3, 3, 2, 2, 2, 2)
     assert l.blocks == (4, 4, 4, 5, 5, 5, 5)
     for i in range(7):
-        assert rows[0].blocks[i] + l.blocks[i] == 7
+        assert rows[0][i] + l.blocks[i] == 7
 
 
 def test_complete_plausible_areas_sum():
     ctx = ProofContext(2, 4, "4a", 5, 0)
     z = (3, 3, 3, 2, 2)
     rows, l = complete_plausible(z, 3, ctx)
-    total = sum(area(r.blocks, 5) for r in rows) + area(l.blocks, 5)
+    total = sum(area(r, 5) for r in rows) + area(l.blocks, 5)
     assert total == 2  # the whole family is worth r
     for r in rows:
-        assert area(r.blocks, 5) == area(z, 5)
+        assert area(r, 5) == area(z, 5)
 
 
 def test_complete_plausible_rejects_bad_m():
@@ -305,7 +303,7 @@ def test_completed_families_are_plausible(args):
                 members = [h.blocks for h in halve(l.blocks)]
             else:
                 continue
-            family = [row.blocks for row in rows] + members
+            family = rows + members
             assert is_plausible_2d(family + pad, ctx), (z, m)
             if ctx.has_neq:
                 flipped = [tuple(p - v for v in row) for row in family]
@@ -448,30 +446,34 @@ def _parity_closure(edges, x, y):
     return None if y not in seen else seen[x] ^ seen[y]
 
 
-def test_parity_dsu_against_brute_force_closure():
-    """Union by size with parity offsets: trees stay shallow, and every
+def test_parity_union_against_brute_force_closure():
+    """The union step with parity offsets: classes stay flat, and every
     union's outcome and every final relation agree with a search over the
     edges it accepted."""
     rng = random.Random(1975)
     for _ in range(200):
         terms = [("t", i) for i in range(rng.randint(2, 9))]
-        dsu, accepted = certificates.ParityDSU(), []
+        cls, members, accepted = {}, {}, []
         for _ in range(rng.randint(0, 14)):
             x, y, parity = rng.choice(terms), rng.choice(terms), rng.randrange(2)
             known = _parity_closure(accepted, x, y)
             want = "new" if known is None else "known" if known == parity else "conflict"
-            assert dsu.union(x, y, parity) == want
+            try:
+                got = "new" if certificates._union(cls, members, x, y, parity) else "known"
+            except certificates._Contradiction as e:
+                assert e.edge == (x, y, parity)
+                got = "conflict"
+            assert got == want
             if want == "new":
                 accepted.append((x, y, parity))
-        # union by size: a term is at most log2(class size) links below its root
-        for x in dsu.parent:
-            depth, root = 0, x
-            while dsu.parent[root] != root:
-                depth, root = depth + 1, dsu.parent[root]
-            assert 2 ** depth <= dsu.size[root]
+        # flat: every term maps straight to its root, which maps to itself
+        for x, (root, _) in cls.items():
+            assert cls[root] == (root, 0) and x in members[root]
+        assert sum(map(len, members.values())) == len(cls)
         for x in terms:
             for y in terms:
-                assert dsu.relation(x, y) == _parity_closure(accepted, x, y)
+                (rx, px), (ry, py) = cls.get(x, (x, 0)), cls.get(y, (y, 0))
+                assert (px ^ py if rx == ry else None) == _parity_closure(accepted, x, y)
 
 
 KERNEL_POOL = [certificates.ZERO] + [certificates.sigma_term(k) for k in range(5)] \
@@ -816,29 +818,6 @@ def test_verification_parses_each_claim_once(monkeypatch, args):
     parsed.clear()
     assert verify_certificate(cert, cert.context.canonical_template()).ok
     assert parsed == [node.claim for node in cert.nodes]
-
-
-class _CountingDSU(certificates.ParityDSU):
-    made = 0
-
-    def __init__(self):
-        type(self).made += 1
-        super().__init__()
-
-
-@pytest.mark.parametrize("args,conclusion,made", [
-    ((1, 3, "4a", 13, 1), "contradiction", 0), ((2, 4, "4a", 29, 1), "contradiction", 0),
-    ((1, 3, "4a", 13, 0), "tame_base", 0), ((1, 3, "4a", 31, 0), "tame_base", 0)])
-def test_verification_builds_no_union_find_per_node(monkeypatch, args, conclusion, made):
-    """Node checks and the tame_base replay of all the claims read flat
-    classes: verification builds no union-find, whatever the node count."""
-    cert = gen_certificate(ProofContext(*args))
-    assert cert.conclusion == conclusion and len(cert.nodes) > 50
-    assert any(node.claim["kind"] == "distinct" for node in cert.nodes)
-    monkeypatch.setattr(_CountingDSU, "made", 0)
-    monkeypatch.setattr(certificates, "ParityDSU", _CountingDSU)
-    assert verify_certificate(cert, cert.context.canonical_template()).ok
-    assert _CountingDSU.made == made
 
 
 def test_replay_names_the_first_contradicting_claim(monkeypatch):

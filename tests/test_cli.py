@@ -147,15 +147,21 @@ def test_verify_names_a_missing_field(tmp_path):
     (lambda obj: obj.pop("nodes"), "missing field 'nodes'"),
     (lambda obj: obj.update(context=[]), "context is not a JSON object"),
     (lambda obj: obj["context"].update(exponent_preset=[]), "exponent_preset [] is not a string"),
-], ids=["nodes", "refs", "node", "node-field", "field", "context", "preset"])
+    ([], "top level is not a JSON object"),
+    ("context", "top level is not a JSON object"),
+], ids=["nodes", "refs", "node", "node-field", "field", "context", "preset", "array", "string"])
 def test_verify_reads_containers_strictly(tmp_path, capsys, edit, message):
     """An object where an array belongs used to be read as its keys, so
     `"refs": {}` on node 0 verified VALID and `"nodes": {}` was an empty
     certificate; a missing field was named by its key alone, and a context
-    of the wrong type by the bare TypeError text."""
+    or certificate of the wrong type by the bare TypeError text.  An edit
+    that is not a function is the whole certificate."""
     obj = json.loads((Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json")
                      .read_text())
-    edit(obj)
+    if callable(edit):
+        edit(obj)
+    else:
+        obj = edit
     cert = tmp_path / "c.json"
     cert.write_text(json.dumps(obj))
     tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)

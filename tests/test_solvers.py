@@ -313,6 +313,10 @@ CATALOG = {
     "two_in_four": template((B("exact", 2, 4), B("nae", 4))),
     "two_in_three": template((B("exact", 2, 3), B("nae", 3))),
     "exact_item1": with_neq(B("exact", 2, 5), B("atmost", 3, 5)),
+    # GF(2) recipe with a full B side, whose rows the translation skips
+    "one_in_three_full": with_neq(B("exact", 1, 3), B("full", 3)),
+    # integer recipe with disequality rows
+    "one_in_three_neq": with_neq(B("exact", 1, 3), B("nae", 3)),
 }
 
 

@@ -216,12 +216,21 @@ def test_relaxation_agrees_with_hom_exists(rng):
 
 
 def test_template_file_round_trip():
-    t = Template(((build_family("exact", 1, 3), build_family("nae", 3)),
-                  (NEQ, NEQ)))
-    text = format_template(t)
-    again = parse_template(text)
-    assert format_template(again) == text
-    assert [p[0].weights for p in again.pairs] == [p[0].weights for p in t.pairs]
+    """Every relation is written as a spec the parser reads back: family
+    relations, explicit tuples, swapped relations, `const` (which has no
+    spec of its own) and weight sets that no family spec names."""
+    rin = Template(((build_family("exact", 1, 3), build_family("nae", 3)), (NEQ, NEQ)))
+    explicit = parse_template("template\npair explicit 2 0,1;1,0 explicit 2 0,1;1,0;1,1\n"
+                              "end\n")
+    const = build_family("const", 3)
+    unnamed = (BoolRelation(4, frozenset([0, 2])), BoolRelation(4, frozenset([0, 2, 3])))
+    for t in (rin, rin.swap01(), explicit, explicit.swap01(),
+              Template(((const, const),)), Template((unnamed,))):
+        text = format_template(t)
+        again = parse_template(text)
+        assert format_template(again) == text
+        assert [[sorted(rel.tuples()) for rel in pair] for pair in again.pairs] == \
+            [[sorted(rel.tuples()) for rel in pair] for pair in t.pairs]
 
 
 def test_template_parse_errors_carry_line_numbers():
