@@ -28,8 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .solvers import InternalCheckError
-from .structures import BoolRelation, Template, build_family
+from .structures import BoolRelation, InternalCheckError, Template, build_family
 
 
 class CertificateError(ValueError):
@@ -65,8 +64,8 @@ def _stray_field(obj, fields: frozenset) -> None:
 
 
 def _block_field(values, p: int) -> tuple:
-    """A block vector read from a justification: p integers.  The length
-    is checked before anything else reads the entries."""
+    """A block vector read from a claim: p integers.  The length is
+    checked before anything else reads the entries."""
     values = tuple(values)
     if len(values) != p:
         raise CertificateError(f"block vector has {len(values)} entries, not p={p}")
@@ -654,10 +653,10 @@ _RULE_FIELDS = {
     "closure": frozenset(("tag",)),
     "plausible1d": frozenset(("tag", "tuples", "twin")),
     "negation": frozenset(("tag", "k")),
-    "double_cyclicity": frozenset(("tag", "blocks", "k", "shift")),
-    "halving": frozenset(("tag", "m", "blocks", "l", "l1", "l2", "twin", "pad")),
-    "completion": frozenset(("tag", "m", "blocks", "l", "twin", "pad")),
-    "boundedness": frozenset(("tag", "z21", "z22", "z1", "m")),
+    "double_cyclicity": frozenset(("tag",)),
+    "halving": frozenset(("tag",)),
+    "completion": frozenset(("tag",)),
+    "boundedness": frozenset(("tag", "z21", "z22")),
 }
 
 
@@ -1012,46 +1011,30 @@ def _padded_2d_constraint(z_blocks, members, pad: int, q_weights, twin: bool,
 
 def _check_completion_payload(node: Node, ctx: ProofContext, q_weights: frozenset,
                               facts: list) -> str | tuple:
-    """The halving and completion rules: z's m staggered rotations, the
-    column completion l and, for halving, l's two halves in place of l form
-    one plausible family (and, with a twin, so do their complements).
+    """The halving and completion rules: the claim's rectangle z, its m
+    staggered rotations, and the column completion l or, for halving, l's
+    two halves in place of l form one plausible family (and, with a twin,
+    so do their complements).
 
-    Checking l and the halves against the construction proves that: every
-    column sums to exactly r*p, and with a twin the family has 2r rows."""
-    j = node.justify
-    halving = j["tag"] == "halving"
-    z = _block_field(j["blocks"], ctx.p)
-    l = _block_field(j["l"], ctx.p)
-    m = _int(j["m"], "row count")
-    pad = _int(j["pad"], "zero padding")
-    twin = j["twin"]
-    if type(twin) is not bool:
-        return "twin flag is not true or false"
-    if node.claim.get("kind") != "tame" or tuple(node.claim["blocks"]) != z:
+    Only z is read; m is the tag's admissible row count, and l and the
+    halves are computed by the construction.  So every column sums to
+    exactly r*p, and with a twin the family has 2r rows."""
+    if node.claim.get("kind") != "tame":
         return "claim does not name the constructed rectangle"
-    want_m = ctx.m_half if halving else ctx.m_flip
-    if m != want_m:
-        return f"m={_quote(m)} is not the admissible row count {want_m}"
-    if pad != ctx.zero_pad:
-        return "wrong zero padding for this case"
-    if twin != ctx.has_neq:
-        return "complement flag disagrees with the case"
+    z = _block_field(node.claim["blocks"], ctx.p)
+    halving = node.justify["tag"] == "halving"
+    m = ctx.m_half if halving else ctx.m_flip
     try:
         _, l_ar = _complete(z, m, ctx)
     except CertificateError as e:
         return f"completion rejected: {e}"
-    if l_ar.blocks != l:
-        return "stated completion disagrees with the construction"
-    members = [l]
+    members = [l_ar.blocks]
     if halving:
-        members = [_block_field(j["l1"], ctx.p), _block_field(j["l2"], ctx.p)]
         try:
-            h1, h2 = halve(l)
+            members = [h.blocks for h in halve(l_ar.blocks)]
         except CertificateError as e:
             return f"halving rejected: {e}"
-        if [h1.blocks, h2.blocks] != members:
-            return "stated halves disagree with the construction"
-    con = _padded_2d_constraint(z, members, pad, q_weights, twin, m)
+    con = _padded_2d_constraint(z, members, ctx.zero_pad, q_weights, ctx.has_neq, m)
     return _deduce_claim(node.claim, ctx, con, facts)
 
 
@@ -1116,59 +1099,45 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
         return _deduce_claim(claim, ctx, None, facts + [edge])
 
     if tag == "double_cyclicity":
-        blocks = _block_field(node.justify["blocks"], ctx.p)
-        k = _int(node.justify["k"], "flat index")
-        shift = _int(node.justify["shift"], "shift")
+        if claim.get("kind") != "tame":
+            return "claim does not name the flattened rectangle"
+        blocks = _block_field(claim["blocks"], ctx.p)
         ar = as_almost_rectangle(blocks)
         if ar is None or ar.step > 1:
             return "row-wise reading needs step size at most one"
-        if sum(blocks) != k:
-            return "stated index disagrees with the block sum"
-        if shift != ar.shift:
-            return "stated shift is not the canonical rotation offset"
-        if node.claim.get("kind") != "tame" or tuple(node.claim["blocks"]) != blocks:
-            return "claim does not name the flattened rectangle"
-        edge = (rect_term(blocks), sigma_term(k), 0)
-        return _deduce_claim(node.claim, ctx, None, facts + [edge])
+        edge = (rect_term(blocks), sigma_term(sum(blocks)), 0)
+        return _deduce_claim(claim, ctx, None, facts + [edge])
 
     if tag in ("halving", "completion"):
         return _check_completion_payload(node, ctx, q_weights, facts)
 
     if tag == "boundedness":
-        z21 = _int(node.justify["z21"], "pattern height")
-        z22 = _int(node.justify["z22"], "pattern height")
-        z1h = _int(node.justify["z1"], "first height")
-        m = _int(node.justify["m"], "row split")
+        z21 = _int(justify["z21"], "pattern height")
+        z22 = _int(justify["z22"], "pattern height")
         p, b, theta = ctx.p, ctx.b, ctx.theta
         # The claim's rectangles are sized first: the file bounds their
         # length, so the p-entry rectangles below are built only when the
         # certificate itself holds 2p entries.
-        for side in (node.claim.get("a"), node.claim.get("b")):
+        for side in (claim.get("a"), claim.get("b")):
             if not (type(side) is dict and type(side.get("blocks")) is list
                     and len(side["blocks"]) == p):
                 return "claim does not name the two finale rectangles"
-        if m != (p - 1) // 2:
-            return "wrong row split for the pigeonhole step"
-        if not (theta * p - 2 * b < z21 < z22 < theta * p):
+        if not (theta * p - 2 * b < z21 < z22 < theta * p and 0 <= z21):
             return "pattern heights leave the pigeonhole interval"
-        if not (0 <= z21 and 0 <= z1h <= p):
-            return "heights out of range"
+        m = (p - 1) // 2
+        z1h = _finale_heights(ctx, z21)
         zb1 = tuple([z1h] * m + [z21] * (p - m))
         zb2 = tuple([z1h] * m + [z22] * (p - m))
-        if area(zb1, p) >= theta:
-            return "first rectangle is not below the threshold"
-        if z1h < p and area(tuple([z1h + 1] * m + [z21] * (p - m)), p) < theta:
-            return "first height is not maximal"
-        # The interval and the two checks above put z1h strictly between
+        # The interval and the maximality of z1h put z1h strictly between
         # theta*p and theta*p + 3b, so zb2 (p - m > m blocks raised) lies
         # above the threshold and both steps are below 5b.
         for zb in (zb1, zb2):
             if not near_threshold(zb, ctx):
                 return "finale rectangle is not near-threshold"
         want = claim_distinct(rect_term(zb1), rect_term(zb2))
-        if node.claim != want:
+        if claim != want:
             return "claim does not name the two finale rectangles"
-        return _deduce_claim(node.claim, ctx, None, facts)
+        return _deduce_claim(claim, ctx, None, facts)
 
     return f"unknown justification {_quote(tag)}"
 
@@ -1375,10 +1344,7 @@ class _CertBuilder:
             k = sum(blocks)
             if k > 2 * ctx.a:
                 raise GenerationError(f"base chain does not cover index {k}")
-            nid = self.emit_tame(blocks,
-                                 {"tag": "double_cyclicity", "blocks": list(blocks),
-                                  "k": k, "shift": ar.shift},
-                                 [self.forced(k)])
+            nid = self.emit_tame(blocks, {"tag": "double_cyclicity"}, [self.forced(k)])
         else:
             too_close = abs(lam - ctx.theta) < Fraction(
                 1, ctx.s ** (ctx.b + ctx.exponent("tooclose")))
@@ -1405,12 +1371,7 @@ class _CertBuilder:
         try:
             s1 = self.ensure_tame(h1.blocks, depth + 1)
             s2 = self.ensure_tame(h2.blocks, depth + 1)
-            return self.emit_tame(
-                blocks,
-                {"tag": "halving", "m": ctx.m_half, "blocks": list(blocks),
-                 "l": list(l_ar.blocks), "l1": list(h1.blocks),
-                 "l2": list(h2.blocks), "twin": ctx.has_neq, "pad": ctx.zero_pad},
-                [s1, s2])
+            return self.emit_tame(blocks, {"tag": "halving"}, [s1, s2])
         except GenerationError:
             return None
 
@@ -1421,22 +1382,17 @@ class _CertBuilder:
         except CertificateError as e:
             raise GenerationError(f"p too small: {e}")
         sub = self.ensure_tame(w_ar.blocks, depth + 1)
-        return self.emit_tame(
-            blocks,
-            {"tag": "completion", "m": ctx.m_flip, "blocks": list(blocks),
-             "l": list(w_ar.blocks), "twin": ctx.has_neq, "pad": ctx.zero_pad},
-            [sub])
+        return self.emit_tame(blocks, {"tag": "completion"}, [sub])
 
 
 def _finale_heights(ctx: ProofContext, z2: int) -> int:
     """The maximal first-block height keeping the area below the threshold:
-    the largest z1 <= p with m*z1 + (p - m)*z2 < theta*p^2.  Every context
-    has p >= 5, so m = (p - 1) // 2 >= 2."""
+    the largest z1 <= p with m*z1 + (p - m)*z2 < theta*p^2, for a pattern
+    height 0 <= z2 < theta*p.  There z1 = 0 leaves the area (p - m)*z2/p^2
+    below theta, so the result is never negative.  Every context has
+    p >= 5, so m = (p - 1) // 2 >= 2."""
     p, m = ctx.p, (ctx.p - 1) // 2
-    best = min(p, math.ceil((ctx.theta * p * p - (p - m) * z2) / m) - 1)
-    if best < 0:
-        raise GenerationError("no height stays below the threshold")
-    return best
+    return min(p, math.ceil((ctx.theta * p * p - (p - m) * z2) / m) - 1)
 
 
 def _cited_by(nodes: List[Node], last: List[int]) -> tuple:
@@ -1500,8 +1456,7 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                 n2 = cb.ensure_tame(zb2)
                 finale.append(cb.emit(claim_distinct(rect_term(zb1), rect_term(zb2)),
                                       (rect_term(zb1), rect_term(zb2), 1),
-                                      {"tag": "boundedness", "z21": z21, "z22": z22,
-                                       "z1": z1h, "m": m},
+                                      {"tag": "boundedness", "z21": z21, "z22": z22},
                                       [n1, n2]))
         cert = Certificate(ctx, _cited_by(cb.nodes, finale), "contradiction")
     check = verify_certificate(cert, ctx.canonical_template())

@@ -215,10 +215,10 @@ def _apply_swap(weights: set, s: int, swapped: bool) -> set:
 def _tractable_shape_exists(t: Template) -> bool:
     """Decide whether a symmetric template with disequality fits some
     tractable combination: Boolean relabels f (A side) and g (B side),
-    one fixed item supplying pair shapes, plus trivial pairs."""
+    one fixed item supplying pair shapes, plus trivial pairs.  `classify`,
+    the caller, has already returned on a template with a non-symmetric
+    pair."""
     neqs, others = _split(t)
-    if others is None:
-        raise StructureError("shape search needs symmetric pairs")
 
     def trivial_cover(wa, wb, s, f_swap, g_swap) -> bool:
         fa = _apply_swap(wa, s, f_swap)

@@ -34,11 +34,8 @@ from typing import List, Optional, Tuple
 
 from .classifier import (Complexity, UnsupportedTemplateError, classify,
                          _point_absorbing)
-from .structures import BoolRelation, Instance, StructureError, Template, check_instance_against
-
-
-class InternalCheckError(RuntimeError):
-    """A backend produced a witness or certificate that fails its own re-check."""
+from .structures import (BoolRelation, Instance, InternalCheckError, StructureError, Template,
+                         check_instance_against)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ class StructureError(ValueError):
     """Malformed relation, template, or instance."""
 
 
+class InternalCheckError(RuntimeError):
+    """A backend produced a witness or certificate that fails its own re-check."""
+
+
 FAMILY_KINDS = ("odd", "even", "exact", "atmost", "atleast", "nae", "neq", "full", "const")
 
 # Enumerating all tuples of a weight-set relation is exponential in the arity;
@@ -152,27 +156,13 @@ def build_family(kind: str, *args: int) -> BoolRelation:
 
 @dataclass(frozen=True)
 class Structure:
-    """A finite relational structure: a domain plus indexed relations."""
+    """A finite relational structure: a domain plus indexed relations, each
+    with its arity (an empty relation has no tuple to read it from).  Its
+    one constructor, `Template.side_structure`, builds them consistent."""
 
     domain: tuple
     relations: tuple  # tuple of frozensets of tuples
-    arities: Optional[tuple] = None  # needed when a relation is empty
-
-    def __post_init__(self):
-        dom = set(self.domain)
-        for rel in self.relations:
-            for t in rel:
-                if any(x not in dom for x in t):
-                    raise StructureError(f"tuple {t} uses elements outside the domain")
-        if self.arities is None:
-            inferred = []
-            for rel in self.relations:
-                if not rel:
-                    raise StructureError("empty relation needs explicit arities")
-                inferred.append(len(next(iter(rel))))
-            object.__setattr__(self, "arities", tuple(inferred))
-        elif len(self.arities) != len(self.relations):
-            raise StructureError("arities/relations length mismatch")
+    arities: tuple
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -281,7 +282,7 @@ def _random_almost_rectangle(p, rng):
 @pytest.mark.parametrize("args", ONE_PER_CASE_AT_B0 + [(2, 5, "1", 31, 0), (2, 4, "2", 29, 0),
                                                        (2, 4, "3", 29, 0), (2, 5, "4b", 31, 0)])
 def test_completed_families_are_plausible(args):
-    """The halving and completion rules check l and the halves against the
+    """The halving and completion rules compute l and the halves by the
     construction, and do not re-sum the family.  On seeded almost
     rectangles z that `_complete` accepts, the family (z's m staggered
     rows, then l or its halves, then the zero padding) is plausible by the
@@ -315,8 +316,9 @@ def test_completed_families_are_plausible(args):
 def test_finale_checks_imply_the_window_and_the_steps():
     """The boundedness rule does not check that theta*p < z1 < theta*p + 3b,
     that the second rectangle lies above the threshold, or that both have
-    step below 5b.  Every (z21, z22, z1) that passes its interval, range,
-    first-below and maximality checks meets all three."""
+    step below 5b.  Every (z21, z22) in the interval, with z1 the largest
+    height keeping the first rectangle below the threshold (the one
+    `_finale_heights` computes), meets all three."""
     checked = 0
     for r, s, case in [(1, 3, "4a"), (2, 4, "4a"), (2, 4, "2"), (2, 4, "3"), (2, 5, "1"),
                        (2, 5, "4b"), (3, 7, "1"), (1, 4, "4a")]:
@@ -601,7 +603,6 @@ def test_certificate_tamper_block_height():
     for node in obj["nodes"]:
         if node["claim"].get("kind") == "tame":
             node["claim"]["blocks"][0] = (node["claim"]["blocks"][0] + 1) % 14
-            node["justify"]["blocks"][0] = node["claim"]["blocks"][0]
             break
     bad = certificate_from_json(json.dumps(obj))
     result = verify_certificate(bad, T13)
@@ -853,16 +854,13 @@ def test_pigeonhole_interval_leaves_out_height_zero():
 
 @pytest.mark.parametrize("args", ONE_PER_CASE + [(2, 4, "4a", 5, 0)])
 def test_finale_height_is_the_largest_below_the_threshold(args):
+    """On every height 0 <= z2 < theta*p, where it is defined."""
     ctx = ProofContext(*args)
     p, m = ctx.p, (ctx.p - 1) // 2
-    for z2 in range(p + 1):
+    for z2 in range(math.ceil(ctx.theta * p)):
         below = [z1 for z1 in range(p + 1)
                  if area((z1,) * m + (z2,) * (p - m), p) < ctx.theta]
-        if below:
-            assert certificates._finale_heights(ctx, z2) == max(below)
-        else:
-            with pytest.raises(GenerationError):
-                certificates._finale_heights(ctx, z2)
+        assert certificates._finale_heights(ctx, z2) == max(below)
 
 
 @pytest.fixture
@@ -1065,14 +1063,11 @@ def _loose_mutations(obj):
         "tuples", [[k + 0.5 for k in nd["justify"]["tuples"][0]]]))
     forced = next(i for i, nd in enumerate(nodes) if nd["claim"]["kind"] == "forced")
     yield at(forced, set_in("claim", "k", 0.0))
-    for tag in ("plausible1d", "halving", "completion"):
-        i = next((i for i, nd in enumerate(nodes)
-                  if nd["justify"]["tag"] == tag and nd["justify"]["twin"] is False), None)
-        if i is None:
-            continue
-        for value in (0, [], {}, None):
-            yield at(i, set_in("justify", "twin", value))
-        yield at(i, lambda nd: nd["justify"].pop("twin"))
+    i = next(i for i, nd in enumerate(nodes)
+             if nd["justify"]["tag"] == "plausible1d" and nd["justify"]["twin"] is False)
+    for value in (0, [], {}, None):
+        yield at(i, set_in("justify", "twin", value))
+    yield at(i, lambda nd: nd["justify"].pop("twin"))
 
 
 def test_loose_field_values_are_invalid():
@@ -1089,7 +1084,7 @@ def test_loose_field_values_are_invalid():
             assert not result.ok and result.failed_node == i, (i, mutated["nodes"][i])
             count += 1
     assert {"plausible1d", "halving", "completion"} <= tags
-    assert count == 2 * 11 + 4 * 5
+    assert count == 2 * 11 + 2 * 5
 
 
 def _int_leaves(value, path=()):

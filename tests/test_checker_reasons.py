@@ -27,7 +27,6 @@ from pcsp.structures import Template, build_family
 
 CASE_4A = (1, 3, "4a", 13, 1)  # p = 13, a = 56, m_half = 1, m_flip = 2
 CASE_1 = (2, 5, "1", 11, 0)
-CASE_2 = (2, 4, "2", 29, 1)
 CASE_4A_B0 = (1, 3, "4a", 7, 0)
 
 # the (1-in-3, NAE-3), p = 13 certificate's finale: pattern heights 3 and 4,
@@ -56,40 +55,11 @@ def _set(section, key, value):
     return edit
 
 
-def _rect(blocks):
-    """Set a node's constructed rectangle and its tame claim alike."""
+def _bump_tuple(index, delta):
+    """Add delta to one entry of a plausible1d node's tuple."""
     def edit(node):
-        node["justify"]["blocks"] = list(blocks)
-        node["claim"]["blocks"] = list(blocks)
+        node["justify"]["tuples"][0][index] += delta
     return edit
-
-
-def _both(*edits):
-    def edit(node):
-        for e in edits:
-            e(node)
-    return edit
-
-
-def _bump(section, key, delta, index=None):
-    def edit(node):
-        if index is None:
-            node[section][key] += delta
-        elif key == "tuples":
-            node[section][key][0][index] += delta
-        else:
-            node[section][key][index] += delta
-    return edit
-
-
-def _swap_halves(node):
-    j = node["justify"]
-    j["l1"], j["l2"] = j["l2"], [v + 1 for v in j["l1"]]
-
-
-def _rotate_claim(node):
-    blocks = node["claim"]["blocks"]
-    node["claim"]["blocks"] = blocks[1:] + blocks[:1]
 
 
 def _flip_claim(node):
@@ -137,7 +107,7 @@ FIELD_EDITS = [
     (CASE_4A, "plausible1d", _flip_claim, "claim is not forced by the constraint"),
     (CASE_4A, "plausible1d", lambda nd: nd["justify"].update(tuples=nd["justify"]["tuples"] * 2),
      "plausible tuple nodes carry exactly one tuple"),
-    (CASE_4A, "plausible1d", _bump("justify", "tuples", -56, 0),
+    (CASE_4A, "plausible1d", _bump_tuple(0, -56),
      "tuple [0, 56, 57] is not plausible"),
     (CASE_4A, "plausible1d", _set("justify", "twin", 0), "twin flag is not true or false"),
     (CASE_4A, "plausible1d", _set("justify", "twin", True),
@@ -152,44 +122,27 @@ FIELD_EDITS = [
     (CASE_1, "negation", lambda nd: nd.update(justify={"tag": "negation",
                                                       "blocks": _one_run(60, 11)}),
      "malformed node: missing field 'k'"),
-    (CASE_4A, "double_cyclicity", _set("justify", "blocks", [0, 2] + [1] * 11),
+    (CASE_4A, "double_cyclicity", _set("claim", "blocks", [0, 2] + [1] * 11),
      "row-wise reading needs step size at most one"),
-    (CASE_4A, "double_cyclicity", _bump("justify", "k", 1),
-     "stated index disagrees with the block sum"),
-    (CASE_4A, "double_cyclicity", _bump("justify", "shift", 1),
-     "stated shift is not the canonical rotation offset"),
-    (CASE_4A, "double_cyclicity", _rotate_claim, "claim does not name the flattened rectangle"),
-    (CASE_4A, "halving", _set("justify", "twin", 0), "twin flag is not true or false"),
-    (CASE_4A, "halving", _rotate_claim, "claim does not name the constructed rectangle"),
-    (CASE_4A, "completion", _bump("justify", "m", 1),
-     "m=3 is not the admissible row count 2"),
-    (CASE_4A, "completion", _set("justify", "pad", 1), "wrong zero padding for this case"),
-    (CASE_4A, "completion", _set("justify", "twin", True),
-     "complement flag disagrees with the case"),
-    (CASE_2, "completion", _set("justify", "twin", False),
-     "complement flag disagrees with the case"),
-    (CASE_4A, "completion", _rect([4] * 6 + [3] * 6 + [5]),
+    (CASE_4A, "double_cyclicity", _set("claim", "kind", "forced"),
+     "claim does not name the flattened rectangle"),
+    (CASE_4A, "halving", _set("claim", "kind", "forced"),
+     "claim does not name the constructed rectangle"),
+    (CASE_4A, "completion", _set("claim", "blocks", [4] * 6 + [3] * 6 + [5]),
      "completion rejected: completion needs an almost rectangle"),
-    (CASE_4A, "completion", _rect([13] * 13),
+    (CASE_4A, "completion", _set("claim", "blocks", [13] * 13),
      "completion rejected: area too far from the threshold to complete"),
-    (CASE_4A, "completion", _rect([7] * 7 + [0] * 6),
+    (CASE_4A, "completion", _set("claim", "blocks", [7] * 7 + [0] * 6),
      "completion rejected: completion column 0 out of range (-1)"),
-    (CASE_4A, "completion", _bump("justify", "l", 1, 0),
-     "stated completion disagrees with the construction"),
-    (CASE_4A, "halving", _both(_rect([0] * 13), _set("justify", "l", [13] * 13)),
+    # at m_half = 1 the completion is 13 - z blockwise, of z's step 0
+    (CASE_4A, "halving", _set("claim", "blocks", [4] * 13),
      "halving rejected: halving needs step size >= 2"),
-    (CASE_4A, "halving", _swap_halves, "stated halves disagree with the construction"),
     (CASE_4A, "boundedness", _finale_claim_side,
      "claim does not name the two finale rectangles"),
     (CASE_4A, "boundedness", _finale_claim_swapped,
      "claim does not name the two finale rectangles"),
-    (CASE_4A, "boundedness", _bump("justify", "m", 1), "wrong row split for the pigeonhole step"),
     (CASE_4A, "boundedness", _set("justify", "z22", 3),
      "pattern heights leave the pigeonhole interval"),
-    (CASE_4A, "boundedness", _set("justify", "z1", 14), "heights out of range"),
-    (CASE_4A, "boundedness", _bump("justify", "z1", 1),
-     "first rectangle is not below the threshold"),
-    (CASE_4A, "boundedness", _bump("justify", "z1", -1), "first height is not maximal"),
     (CASE_4A, "closure", lambda nd: nd.update(id=nd["id"] + 1), "node ids must be sequential"),
     # a field that no rule reads, on each kind of object a node holds
     (CASE_4A, "closure", lambda nd: nd.update(note=1), "malformed node: unexpected field 'note'"),
@@ -205,7 +158,7 @@ FIELD_EDITS = [
     (CASE_4A, "double_cyclicity", _set("justify", "m", 1), "malformed node: unexpected field 'm'"),
     (CASE_4A, "halving", _set("claim", "k", 1), "malformed node: unexpected field 'k'"),
     (CASE_4A, "halving", _set("justify", "shift", 0), "malformed node: unexpected field 'shift'"),
-    (CASE_4A, "completion", lambda nd: nd["justify"].update(l1=nd["justify"]["l"]),
+    (CASE_4A, "completion", _set("justify", "l1", [0] * 13),
      "malformed node: unexpected field 'l1'"),
     (CASE_4A, "boundedness", _set("justify", "k", 1), "malformed node: unexpected field 'k'"),
 ]
@@ -218,6 +171,45 @@ def test_field_edit_gives_its_reason_at_its_node(args, tag, edit, reason):
     i = _first(obj, tag)
     edit(obj["nodes"][i])
     assert _verdict(obj, ProofContext(*args).canonical_template()) == (False, i, reason)
+
+
+_R4 = [4] * 12 + [3]
+
+# the justification fields that the 2-D rules now compute from the claim and
+# the context, each with the value an older generator wrote for it on the
+# first node of its rule in the CASE_4A certificate
+DROPPED_FIELDS = [
+    ("double_cyclicity", "blocks", _R4),
+    ("double_cyclicity", "k", 51),
+    ("double_cyclicity", "shift", 0),
+    ("halving", "m", 1),
+    ("halving", "blocks", [5] * 12 + [7]),
+    ("halving", "l", [8] * 12 + [6]),
+    ("halving", "l1", _R4),
+    ("halving", "l2", _R4),
+    ("halving", "twin", False),
+    ("halving", "pad", 0),
+    ("completion", "m", 2),
+    ("completion", "blocks", FINALE_A),
+    ("completion", "l", [5] * 12 + [7]),
+    ("completion", "twin", False),
+    ("completion", "pad", 0),
+    ("boundedness", "z1", 5),
+    ("boundedness", "m", 6),
+]
+
+
+@pytest.mark.parametrize("tag,field,value", DROPPED_FIELDS,
+                         ids=[f"{tag}-{field}" for tag, field, _ in DROPPED_FIELDS])
+def test_dropped_field_is_unexpected_even_with_its_true_value(tag, field, value):
+    """A 2-D node that still states a field its rule computes is refused at
+    that node, though the stated value is the computed one."""
+    obj = json.loads(_text(CASE_4A))
+    i = _first(obj, tag)
+    assert field not in obj["nodes"][i]["justify"]
+    _set("justify", field, value)(obj["nodes"][i])
+    assert _verdict(obj, ProofContext(*CASE_4A).canonical_template()) == (
+        False, i, f"malformed node: unexpected field '{field}'")
 
 
 @pytest.mark.parametrize("args,edit,reason", [
@@ -309,24 +301,29 @@ def test_closure_over_contradictory_facts():
         False, 2, "referenced facts are contradictory")
 
 
-def test_finale_pair_far_from_the_threshold():
+@pytest.mark.parametrize("b, z21, z22, first, reason", [
+    (2, 1, 2, 8, "finale rectangle is not near-threshold"),
+    (3, -1, 1, 9, "pattern heights leave the pigeonhole interval"),
+], ids=["far from the threshold", "negative height"])
+def test_one_finale_node_at_larger_b(b, z21, z22, first, reason):
     """At b = 2 the pair (1, 2) passes every other finale check at p = 13,
-    first height 8, but its rectangles are not near the threshold."""
-    ctx = ProofContext(1, 3, "4a", 13, 2)
-    zb1, zb2 = [8] * 6 + [1] * 7, [8] * 6 + [2] * 7
+    first height 8, but its rectangles are not near the threshold.  At
+    b = 3, theta*p - 2b = -5/3 lies below the height -1, but the interval
+    starts at 0 all the same."""
+    ctx = ProofContext(1, 3, "4a", 13, b)
+    zb1, zb2 = [first] * 6 + [z21] * 7, [first] * 6 + [z22] * 7
     node = Node(0, claim_distinct(rect_term(zb1), rect_term(zb2)),
-                {"tag": "boundedness", "z21": 1, "z22": 2, "z1": 8, "m": 6}, ())
+                {"tag": "boundedness", "z21": z21, "z22": z22}, ())
     result = verify_certificate(Certificate(ctx, (node,), "contradiction"),
                                 ctx.canonical_template())
-    assert (result.ok, result.failed_node, result.reason) == (
-        False, 0, "finale rectangle is not near-threshold")
+    assert (result.ok, result.failed_node, result.reason) == (False, 0, reason)
 
 
 def test_the_finale_node_edited_is_the_one_named():
     """The boundedness edits above act on this node, with these heights."""
     obj = json.loads(_text(CASE_4A))
     node = obj["nodes"][_first(obj, "boundedness")]
-    assert node["justify"] == {"tag": "boundedness", "z21": 3, "z22": 4, "z1": 5, "m": 6}
+    assert node["justify"] == {"tag": "boundedness", "z21": 3, "z22": 4}
     assert (node["claim"]["a"]["blocks"], node["claim"]["b"]["blocks"]) == (FINALE_A, FINALE_B)
 
 

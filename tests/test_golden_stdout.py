@@ -108,11 +108,11 @@ def test_table_stdout_is_pinned():
 
 # (r, s, case, p, b): README minimal-p cases at b = 1 and small b = 0 chains
 CERTIFY_SHA = {
-    (1, 3, "4a", 13, 1): "a911d2fc050aeff34846f3ddcd955abb73e0f48a822747addf049b6abef72a87",
-    (2, 4, "4a", 29, 1): "1dfeffa0c3d82b93796dada497bfa3c2c1458d0cb7e0752e96b4f8f55ad9e4c0",
-    (2, 4, "2", 29, 1): "4725cd4299117fdd0a36a23b7e57de59174daefaf888600c087dd4ad2602fac0",
-    (2, 5, "1", 31, 1): "b3e0ba5e12b7758391c745cb36d39e4acfc0a3a09a2a5dca93af3f5ce02b2ee6",
-    (1, 3, "4a", 19, 1): "bcc7f603b5f956cba720486828d062b385d5a26c05e0a30981a2c6906b47561d",
+    (1, 3, "4a", 13, 1): "f4754d027c63f77beaec6eaa95d8779e08ad63592703288caf3296dc052e45db",
+    (2, 4, "4a", 29, 1): "a4bcd5e0d2d36cda97d4eba190f172501d157c91ee96ebbe7cc2a67cf86f7aa6",
+    (2, 4, "2", 29, 1): "dd65b7c574fce91455dc7b0e22af24b805bbc4b041d340ffb3eab56618f3a165",
+    (2, 5, "1", 31, 1): "55d91af4c90d119f6cb16dcf8a8e074b1c0fd3821a8b4c8580435ea38e323635",
+    (1, 3, "4a", 19, 1): "f328ba6ccb9e23cec7dae7afe96a442bcb881e5f6f84387df086d0e0cb1a35bf",
     (1, 3, "4a", 7, 0): "fd59bd21d536ba885ee2c2f86cc4bc30b01f5df455cb4122aadc9aa29ffcb3e7",
     (2, 4, "4a", 17, 0): "96391c10e55a1c8185251163bf117dca2de82f2fee6b8383ccf68aa54dc6b1e5",
     (2, 4, "3", 17, 0): "b8a82c8696e40b096505370015dd6347976f73857965d050e21d621bc150b9df",
@@ -145,4 +145,4 @@ def test_cert_sweep_below_32_is_pinned():
     lines = [sweep.sweep_line(ctx) + "\n" for ctx in sweep.contexts(32)]
     assert len(lines) == 156
     assert _sha("".join(lines)) == \
-        "df8d1b7dc16cf2e62705652aa52dd31d25b8e1fd5750349cfc7e4bc6e27d1c03"
+        "21b6dd4a6d4d83d4a3d360ae33475b555b5bcd43824d494288242a596bf5e9bb"
