@@ -238,7 +238,8 @@ class ProofContext(StaggerParams):
 
     def tame_bit(self, k: int) -> int:
         """The parity tameness forces between u_k and u_0, for 0 <= k <= 2a:
-        equal up to a, distinct above."""
+        equal up to a, distinct above.  A b >= 1 certificate derives the
+        same relation for any index it cites (`_CertBuilder.forced`)."""
         return int(k > self.a)
 
     def canonical_template(self) -> Template:
@@ -887,6 +888,13 @@ def _ktuple_constraint(ks, weights: frozenset, twin: bool) -> QConstraint:
     return QConstraint(tuple(terms), weights, twin)
 
 
+def _near_equal(total: int, parts: int) -> list:
+    """total split into parts entries that differ by at most one, the larger
+    ones first."""
+    q, rem = divmod(total, parts)
+    return [q + 1] * rem + [q] * (parts - rem)
+
+
 def _twin_available(ks, ctx: ProofContext) -> bool:
     """The complement rule applies only when the complemented family is
     itself plausible (automatic at exact budget when s = 2r)."""
@@ -897,7 +905,7 @@ def _twin_available(ks, ctx: ProofContext) -> bool:
 
 def gen_stepone_chain(ctx: ProofContext) -> List[Node]:
     """The 1-D tameness chain: case-specific plausible tuples plus negation
-    steps, as the generator emits them, unchecked.
+    steps, as a b = 0 certificate holds them, unchecked.
 
     These are the nodes that `propagate` re-derives on its own, reading
     only their justifications; their refs name earlier chain nodes."""
@@ -1163,7 +1171,9 @@ class _CertBuilder:
     """Emits nodes and keeps the parity facts their claims establish as a
     forest: every linked term points at its parent through the node whose
     claim relates the two.  No node is checked here: `gen_certificate`
-    re-derives each one once, in its final `verify_certificate`.
+    re-derives each one once, in its final `verify_certificate`.  Step one
+    is the whole chain at b = 0 (`build_chain`), and at b >= 1 only the
+    indices that `forced` is asked for, derived on demand.
 
     Every claim relates a new term straight to the root of the class it
     joins, so no σ-term is more than one link below its root.  A relation
@@ -1215,7 +1225,7 @@ class _CertBuilder:
         edge = rect_term(blocks), sigma_term(0), self.ctx.tame_bit(sum(blocks))
         return self.emit(claim_tame(blocks), edge, justify, refs)
 
-    # -- the 1-D chain --
+    # -- step one --
 
     def _emit_stepone(self):
         if self.ctx.case == "2":
@@ -1225,31 +1235,45 @@ class _CertBuilder:
         else:
             self._chain_case_4()
 
+    def _absolute(self, k: int, ks, refs) -> None:
+        """u_k = 0, by the plausible tuple ks (cases 1 and 2)."""
+        self.emit(claim_absolute(k, 0), (sigma_term(k), ZERO, 0),
+                  {"tag": "plausible1d", "tuples": [ks],
+                   "twin": _twin_available(ks, self.ctx)}, refs)
+
+    def _negation(self, k: int) -> None:
+        """u_(n-k) = 1, as the negation of the known u_k = 0."""
+        n = self.ctx.n
+        self.emit(claim_absolute(n - k, 1), (sigma_term(n - k), ZERO, 1),
+                  {"tag": "negation", "k": k}, self._links([sigma_term(k)]))
+
+    def _emit_distinct(self, new: int, known: int, ks) -> None:
+        """u_new differs from the known u_known, by the tuple ks.  The node
+        states that as u_new's relation to u_known's root, and cites the link
+        of each known term of ks to the root."""
+        root, parity, _ = self._to_root(sigma_term(known))
+        x = sigma_term(new)
+        claim = claim_equal if parity else claim_distinct
+        self.emit(claim(root, x), (root, x, parity ^ 1),
+                  {"tag": "plausible1d", "tuples": [ks],
+                   "twin": _twin_available(ks, self.ctx)},
+                  self._links(map(sigma_term, set(ks))))
+
     def _chain_case_2(self):
         ctx = self.ctx
-        abs_ids = {}
         for k in range(0, ctx.a + 1):
-            ks = [k] * ctx.s
-            abs_ids[k] = self.emit(claim_absolute(k, 0), (sigma_term(k), ZERO, 0),
-                                   {"tag": "plausible1d", "tuples": [ks],
-                                    "twin": _twin_available(ks, ctx)}, [])
+            self._absolute(k, [k] * ctx.s, [])
         for k in range(0, ctx.a + 1):
-            self.emit(claim_absolute(ctx.n - k, 1), (sigma_term(ctx.n - k), ZERO, 1),
-                      {"tag": "negation", "k": k}, [abs_ids[k]])
+            self._negation(k)
 
     def _chain_case_1(self):
         ctx = self.ctx
         r, s, n = ctx.r, ctx.s, ctx.n
-        neg_ids = {}
         for k in range(ctx.a, -1, -1):
+            # u_(n-k-1) = 1 is the negation named one step before (none at k = a)
             ks = [k] * r + [n - k - 1] * r + [r] + [0] * (s - 2 * r - 1)
-            refs = []
-            if n - k - 1 != k:
-                refs = [neg_ids[k + 1]]
-            nid = self.emit(claim_absolute(k, 0), (sigma_term(k), ZERO, 0),
-                            {"tag": "plausible1d", "tuples": [ks], "twin": False}, refs)
-            neg_ids[k] = self.emit(claim_absolute(n - k, 1), (sigma_term(n - k), ZERO, 1),
-                                   {"tag": "negation", "k": k}, [nid])
+            self._absolute(k, ks, self._links([sigma_term(n - k - 1)]))
+            self._negation(k)
 
     def _chain_case_4(self):
         """Shared by the not-all-equal cases and the exact r = s/2 case, which
@@ -1258,19 +1282,8 @@ class _CertBuilder:
         states that as the new term's relation to the root, u_a."""
         ctx = self.ctx
         r, s, a = ctx.r, ctx.s, ctx.a
-        u = sigma_term
-        up = self.up
-        up[u(a)] = None  # the root of every term the chain names
-
-        def emit_distinct(new, known, ks):
-            """u_new differs from u_known, by the tuple ks; the node cites the
-            link of each known term of ks to the root."""
-            root, parity, _ = self._to_root(u(known))
-            x = u(new)
-            claim = claim_equal if parity else claim_distinct
-            self.emit(claim(root, x), (root, x, parity ^ 1),
-                      {"tag": "plausible1d", "tuples": [ks],
-                       "twin": _twin_available(ks, ctx)}, self._links(map(u, set(ks))))
+        emit_distinct = self._emit_distinct
+        self.up[sigma_term(a)] = None  # the root of every term the chain names
 
         emit_distinct(a + 1, a, [a] * (s - r) + [a + 1] * r)
         if ctx.case == "4b":
@@ -1294,14 +1307,14 @@ class _CertBuilder:
                 second = [a - i] * ((s - r) // 2) + [a + i] * ((s - r) // 2) + [a + 1] * r
             # in case 4b, u_(a+r) is named at the start, so at i = r the first
             # tuple has no new term
-            if u(a + i) not in up:
+            if sigma_term(a + i) not in self.up:
                 emit_distinct(a + i, a - i + 1, first)
             emit_distinct(a - i, a + i, second)
 
     def build_chain(self):
-        """Emit the step-one chain and check that its facts link every index
-        0..2a to u_0.  The check emits nothing: the closure stating u_k's
-        relation to u_0 is emitted only when a node cites it (`forced`)."""
+        """Emit the whole step-one chain, for a b = 0 certificate, and check
+        that its facts link every index 0..2a to u_0, which the `tame_base`
+        conclusion replays."""
         self._emit_stepone()
         a = self.ctx.a
         order = [a]
@@ -1314,12 +1327,86 @@ class _CertBuilder:
             if x not in up or self._to_root(x)[0] != root0:
                 raise GenerationError(f"no established fact links {x} and {_SIGMA0}")
 
+    def _derive_absolute(self, k: int) -> None:
+        """Name u_k in case 1 or 2, unless it is named.  Above a, u_k = 1 is
+        the negation of u_(n-k).  For k <= a, u_k = 0 by one tuple in which
+        u_k = 1 would put 2r ones or more, past the B side's 2r - 1.
+
+        Case 2: the tuple [k]*s, of total 2rk < rn.  Case 1: r copies of k,
+        r copies of an index h whose u_h = 1 is named first, and s - 2r
+        slack entries, split near-equally, that absorb the rest of r*n.  At
+        k = a, h = a and nothing is named first.  Below a, h is the least
+        index above a that keeps each slack entry within n,
+        h = max(a + 1, ceil(n - k - (s - 2r)n/r)), so the recursion moves
+        from k to n - h, which is a or more than k + n/r - 1: it reaches a
+        in O(r) steps, whatever p is."""
+        if sigma_term(k) in self.up:
+            return
+        ctx = self.ctx
+        n, a, r, s = ctx.n, ctx.a, ctx.r, ctx.s
+        if k > a:
+            self._derive_absolute(n - k)
+            self._negation(n - k)
+        elif ctx.case == "2":
+            self._absolute(k, [k] * s, [])
+        else:
+            h = a if k == a else max(a + 1, -(((k - n) * r + (s - 2 * r) * n) // r))
+            if h > a:
+                self._derive_absolute(h)
+            ks = [k] * r + [h] * r + _near_equal(r * (n - k - h), s - 2 * r)
+            self._absolute(k, ks, self._links([sigma_term(h)]))
+
+    def _derive_nae(self, k: int, active: frozenset = frozenset()) -> None:
+        """Name u_k in case 3, 4a or 4b, unless it is named, against the
+        root u_a.  Take j copies of k and a near-equal split of r*n - j*k
+        into s - j entries.  When every entry lies strictly on the other
+        side of theta*n from k, the entries, named first, are known equal
+        (this recursion names each index e at parity [e > a] to u_a), and
+        not-all-equal (in case 3, the B side with its twin) forces u_k to
+        differ from them.
+
+        The split's mean lies j/(s - j) times as far from theta*n as k: at
+        j = 1, at most half as far.  So away from the threshold each step
+        at least halves the distance, and the indices one level needs span
+        an interval that the next level maps to one about 1/(s - 1) as wide
+        plus two: a cited index needs O(log n) nodes.  Near the threshold
+        rounding can put an entry on k's side, so each j from 1 up is
+        tried in turn, the entry nearer theta*n derived first; a j with an
+        entry still being derived (`active`) would be a cycle and is passed
+        over.  At k = a + 1 and j = r the split is s - r copies of a.
+        Raises GenerationError naming u_k when no j works."""
+        ctx = self.ctx
+        r, s, n, a = ctx.r, ctx.s, ctx.n, ctx.a
+        self.up.setdefault(sigma_term(a), None)
+        if sigma_term(k) in self.up:
+            return
+        active |= {k}
+        for j in range(1, s):
+            rest = r * n - j * k
+            if not 0 <= rest <= (s - j) * n:
+                continue
+            split = _near_equal(rest, s - j)
+            hi, lo = split[0], split[-1]
+            if (hi > a if k > a else lo <= a) or not active.isdisjoint(split):
+                continue  # an entry on k's side, or one still being derived
+            try:
+                for e in ((hi, lo) if k > a else (lo, hi)):
+                    self._derive_nae(e, active)
+            except GenerationError:
+                continue
+            self._emit_distinct(k, lo, [k] * j + split)
+            return
+        raise GenerationError(f"no plausible tuple forces {sigma_term(k)}")
+
     def forced(self, k: int) -> int:
-        """The closure node stating u_k's tame relation to u_0, for
-        0 <= k <= 2a: emitted the first time it is cited, on the links of
-        u_k and u_0 to their common root."""
+        """The closure node stating u_k's tame relation to u_0, for a b >= 1
+        certificate: emitted the first time it is cited, after u_k and u_0
+        are named on demand, on their links to their common root."""
         nid = self.forced_ids.get(k)
         if nid is None:
+            derive = self._derive_absolute if self.ctx.case in ("1", "2") else self._derive_nae
+            derive(k)
+            derive(0)
             x = sigma_term(k)
             bit = self.ctx.tame_bit(k)
             nid = self.forced_ids[k] = self.emit(
@@ -1341,10 +1428,8 @@ class _CertBuilder:
 
         nid: Optional[int] = None
         if ar.step <= 1:
-            k = sum(blocks)
-            if k > 2 * ctx.a:
-                raise GenerationError(f"base chain does not cover index {k}")
-            nid = self.emit_tame(blocks, {"tag": "double_cyclicity"}, [self.forced(k)])
+            nid = self.emit_tame(blocks, {"tag": "double_cyclicity"},
+                                 [self.forced(sum(blocks))])
         else:
             too_close = abs(lam - ctx.theta) < Fraction(
                 1, ctx.s ** (ctx.b + ctx.exponent("tooclose")))
@@ -1423,17 +1508,18 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
     With b = 0 the result is the base tameness chain alone.  With b >= 1 it
     holds, for every pattern pair in the pigeonhole interval, tameness
     subproofs of the two composite rectangles and the distinctness node that
-    contradicts boundedness, and of the chain only the nodes those subproofs
-    cite.  Failures (an interval with too few integers, a rectangle the base
-    chain cannot reach, completion running out of range) raise
-    GenerationError: the parameters, usually p, are too small.
+    contradicts boundedness, and the derivations of only the step-one
+    indices those subproofs cite.  Failures (an interval with too few
+    integers, a chain with a gap, an index no tuple forces, completion
+    running out of range) raise GenerationError: the parameters, usually
+    p, are too small.
 
     The final `verify_certificate`, the checker `pcsp verify` runs, is the
     one self-check; a failure raises InternalCheckError naming the node.
     """
     cb = _CertBuilder(ctx)
-    cb.build_chain()
     if ctx.b == 0:
+        cb.build_chain()
         cert = Certificate(ctx, tuple(cb.nodes), "tame_base")
     else:
         ints = _pigeonhole_interval(ctx)

@@ -368,7 +368,7 @@ def _parse_relation_spec(tokens: list, pos: int, lineno: int):
         except ValueError:
             raise ParseError(lineno, f"bad arity {args[0]!r}")
         tups = []
-        for part in args[1].split(";"):
+        for part in args[1].split(";") if args[1] != "-" else ():  # "-": no tuple
             try:
                 tups.append(tuple(int(c) for c in part.split(",")))
             except ValueError:
@@ -437,7 +437,7 @@ def format_template(t: Template) -> str:
 
 def _format_relation(rel: BoolRelation) -> str:
     """The spec `_parse_relation_spec` reads back as rel: a family spec
-    when rel's weights form one, else its tuples, sorted."""
+    when rel's weights form one, else its tuples, sorted (`-` for none)."""
     if rel.is_neq():
         return "neq"
     s, w = rel.arity, set(rel.weights)
@@ -457,7 +457,7 @@ def _format_relation(rel: BoolRelation) -> str:
         if w and w == set(range(min(w), s + 1)):
             return f"atleast {min(w)} {s}"
     body = ";".join(",".join(str(x) for x in t) for t in sorted(rel.tuples()))
-    return f"explicit {s} {body}"
+    return f"explicit {s} {body or '-'}"
 
 
 def parse_instance(text: str) -> Instance:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -696,22 +697,19 @@ def test_certificate_with_unused_closures_still_verifies():
 
 
 def test_generation_states_only_what_the_fuller_certificate_proved():
-    """Stating chain claims against the root, and emitting only the nodes
-    the conclusion reads, drops nodes, renumbers refs and restates claims.
-    Still, every justification is one that the fuller p = 13 certificate
-    (closure lemmas and every forced closure) held, and every claim follows
-    from that certificate's claims by parity closure.  Only chain claims
-    are restated: every other node is a (claim, justification) pair that
-    the fuller certificate held."""
+    """Deriving only the cited step-one indices, on demand, and stating each
+    claim against the root, drops nodes, renumbers refs and changes the
+    chain's tuples and claims.  Still, every claim follows by parity closure
+    from the claims of the fuller p = 13 certificate (the whole chain,
+    closure lemmas and every forced closure), and every node other than a
+    plausible1d one is a (claim, justification) pair that it held."""
     old = certificate_from_json(FIXTURE_P13.read_text())
     ctx = old.context
-    held = {json.dumps(node.justify, sort_keys=True) for node in old.nodes}
     pairs = {json.dumps([node.claim, node.justify], sort_keys=True) for node in old.nodes}
     edges = [certificates._claim_edge(node.claim, ctx) for node in old.nodes]
     cert = gen_certificate(ProofContext(1, 3, "4a", 13, 1))
     assert len(cert.nodes) < len(old.nodes)
     for node in cert.nodes:
-        assert json.dumps(node.justify, sort_keys=True) in held, node.id
         if node.justify["tag"] != "plausible1d":
             assert json.dumps([node.claim, node.justify], sort_keys=True) in pairs, node.id
         x, y, parity = certificates._claim_edge(node.claim, ctx)
@@ -768,24 +766,98 @@ def test_swept_certificates_state_every_relation_against_the_root():
             assert len(node.refs) <= 3, (ctx, node.id)
 
 
+def test_cited_by_drops_what_the_last_nodes_do_not_reach():
+    """No context with s <= 9, p < 200 and b <= 3 now leaves a node that its
+    boundedness nodes do not reach, but a halving that fails after its first
+    half, or a derivation that fails after naming an entry, still could.
+    `_cited_by` drops such a node and renumbers the ids and refs after it."""
+    refs = [(), (), (0,), (2,), (0, 3)]
+    nodes = [certificates.Node(i, {"kind": "forced", "k": i, "bit": 0}, {"tag": "closure"}, r)
+             for i, r in enumerate(refs)]
+    kept = certificates._cited_by(nodes, [4])
+    assert [(node.id, node.claim["k"], node.refs) for node in kept] == [
+        (0, 0, ()), (1, 2, (0,)), (2, 3, (1,)), (3, 4, (0, 2))]
+
+
 def test_generation_reports_small_p():
     with pytest.raises(GenerationError):
         gen_certificate(ProofContext(1, 3, "4a", 7, 1))
 
 
 def test_chain_that_misses_an_index_is_a_small_p(monkeypatch):
-    """Generation checks that the step-one chain relates every index 0..2a
-    to u_0 before it emits any forced closure, so a chain with a gap is a
-    GenerationError at b = 0 as at b = 1, not a failed self-check."""
+    """At b = 0 generation checks that the step-one chain relates every
+    index 0..2a to u_0 before the self-check, so a chain with a gap is a
+    GenerationError.  At b = 1 each cited index is derived on demand, and a
+    derivation that finds no tuple is a GenerationError naming the index.
+    Generation, which falls back from a halving to a completion when a
+    derivation fails, may name a later cause; neither run reaches the
+    self-check."""
     def first_node_only(builder):  # p = 7, a = 16: the chain's first tuple
         u16, u17 = ("sigma", 16), ("sigma", 17)
         builder.emit(certificates.claim_distinct(u16, u17), (u16, u17, 1),
                      {"tag": "plausible1d", "tuples": [[16, 16, 17]], "twin": False}, [])
 
     monkeypatch.setattr(certificates._CertBuilder, "_emit_stepone", first_node_only)
-    for b in (0, 1):
-        with pytest.raises(GenerationError, match=r"no established fact links \('sigma', 16\)"):
-            gen_certificate(ProofContext(1, 3, "4a", 7, b))
+    with pytest.raises(GenerationError, match=r"no established fact links \('sigma', 16\)"):
+        gen_certificate(ProofContext(1, 3, "4a", 7, 0))
+    # every split puts its whole budget on one entry, so 0 is on k's side
+    # in every split of a k below the threshold
+    monkeypatch.setattr(certificates, "_near_equal",
+                        lambda total, parts: [total] + [0] * (parts - 1))
+    ctx = ProofContext(1, 3, "4a", 13, 1)
+    with pytest.raises(GenerationError, match=r"^no plausible tuple forces \('sigma', 0\)$"):
+        certificates._CertBuilder(ctx).forced(0)
+    with pytest.raises(GenerationError):
+        gen_certificate(ctx)
+
+
+@pytest.mark.parametrize("args", ONE_PER_CASE)
+def test_forced_derives_any_index_on_demand(args):
+    """At b >= 1 `forced` names u_k for any 0 <= k <= n, past the step-one
+    range 0..2a too, at the tame parity against u_0, and every node it emits
+    passes its check.  So ensure_tame needs no guard on the block sum of a
+    step <= 1 rectangle: an index no tuple forces is the derivation's own
+    GenerationError."""
+    ctx = ProofContext(*args[:4], 1)
+    builder = certificates._CertBuilder(ctx)
+    ks = (0, 1, ctx.a, ctx.a + 1, 2 * ctx.a, 2 * ctx.a + 1, ctx.n)
+    for k in ks:
+        builder.forced(k)
+    q_weights, has_neq = certificates._match_template(ctx, ctx.canonical_template())
+    edges = []
+    for node in builder.nodes:
+        edges.append(certificates._check_node(node, ctx, q_weights, edges, has_neq))
+        assert type(edges[-1]) is tuple, (node.id, edges[-1])
+    forced = {node.claim["k"]: node.claim["bit"] for node in builder.nodes
+              if node.claim["kind"] == "forced"}
+    assert forced == {k: int(k > ctx.a) for k in ks}
+
+
+# the most plausible1d and negation nodes a b >= 1 certificate holds, per
+# log2(p^2): the worst of tools/cert_sweep.py (p < 80, b <= 2) is 4.44, at
+# (1-in-3, NAE-3), p = 79, b = 2
+STEP_ONE_NODES_PER_LOG = 4.5
+
+
+def test_step_one_nodes_grow_with_log_p():
+    """At b >= 1 only the cited step-one indices are derived, each by a
+    recursion that contracts toward the threshold, so the step-one nodes
+    number at most c * log2(p^2), c = STEP_ONE_NODES_PER_LOG: over the
+    sweep's certificates with p < 32 and at larger p.  Generating and
+    verifying the p = 199 certificate, which held 14,289 nodes when the
+    whole chain was kept, takes a small fraction of a second."""
+    swept = [(ctx, nodes) for ctx, nodes in _swept_certificates() if ctx.b]
+    start = time.process_time()
+    for args in [(1, 3, "4a", 79, 2), (1, 3, "4a", 199, 1), (1, 3, "4a", 409, 1)]:
+        ctx = ProofContext(*args)
+        cert = certificate_from_json(certificate_to_json(gen_certificate(ctx)))
+        assert verify_certificate(cert, T13).ok
+        swept.append((ctx, cert.nodes))
+    assert time.process_time() - start < 0.5
+    assert len(swept) == 26 + 3
+    for ctx, nodes in swept:
+        step_one = sum(node.justify["tag"] in ("plausible1d", "negation") for node in nodes)
+        assert step_one <= STEP_ONE_NODES_PER_LOG * math.log2(ctx.p ** 2), (ctx, step_one)
 
 
 # -- the one self-check ----------------------------------------------------------

@@ -100,7 +100,7 @@ FIELD_EDITS = [
      "justification is not a JSON object"),
     (CASE_4A, "closure", lambda nd: nd.update(refs=["0"]),
      "reference '0' is not an integer"),
-    (CASE_4A, "closure", _own_ref, "reference 62 is not an earlier node"),
+    (CASE_4A, "closure", _own_ref, "reference 14 is not an earlier node"),
     (CASE_4A, "closure", _drop_ref, "claim does not follow from the referenced facts"),
     (CASE_4A, "closure", _flip_claim, "claim contradicts the referenced facts"),
     (CASE_4A, "closure", _set("justify", "tag", "hint"), "unknown justification 'hint'"),
@@ -108,7 +108,7 @@ FIELD_EDITS = [
     (CASE_4A, "plausible1d", lambda nd: nd["justify"].update(tuples=nd["justify"]["tuples"] * 2),
      "plausible tuple nodes carry exactly one tuple"),
     (CASE_4A, "plausible1d", _bump_tuple(0, -56),
-     "tuple [0, 56, 57] is not plausible"),
+     "tuple [1, 56, 56] is not plausible"),
     (CASE_4A, "plausible1d", _set("justify", "twin", 0), "twin flag is not true or false"),
     (CASE_4A, "plausible1d", _set("justify", "twin", True),
      "complement rule needs a disequality pair"),

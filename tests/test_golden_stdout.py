@@ -108,11 +108,11 @@ def test_table_stdout_is_pinned():
 
 # (r, s, case, p, b): README minimal-p cases at b = 1 and small b = 0 chains
 CERTIFY_SHA = {
-    (1, 3, "4a", 13, 1): "f4754d027c63f77beaec6eaa95d8779e08ad63592703288caf3296dc052e45db",
-    (2, 4, "4a", 29, 1): "a4bcd5e0d2d36cda97d4eba190f172501d157c91ee96ebbe7cc2a67cf86f7aa6",
-    (2, 4, "2", 29, 1): "dd65b7c574fce91455dc7b0e22af24b805bbc4b041d340ffb3eab56618f3a165",
-    (2, 5, "1", 31, 1): "55d91af4c90d119f6cb16dcf8a8e074b1c0fd3821a8b4c8580435ea38e323635",
-    (1, 3, "4a", 19, 1): "f328ba6ccb9e23cec7dae7afe96a442bcb881e5f6f84387df086d0e0cb1a35bf",
+    (1, 3, "4a", 13, 1): "238e53ef027ab60fab795066e2725c3e246d5ac44aaf1171c6ba75512591ba4f",
+    (2, 4, "4a", 29, 1): "b92c8afca83b46d18994e17cd76d1937862b660737d4da40ba689e48ff1f5fdd",
+    (2, 4, "2", 29, 1): "e1d1acb604e7ebd23dd3d1dec7eddec0a3e95fb8d23ee6374c6612b13f9195cf",
+    (2, 5, "1", 31, 1): "90647b4c001530f31bb672028f2f24cb2b8f973693f86af1771997b6b6c9f7a2",
+    (1, 3, "4a", 19, 1): "2bc0e8676f2a595c820786401a4c276864967ad48adc1d24e2a7efa1e2c3429c",
     (1, 3, "4a", 7, 0): "fd59bd21d536ba885ee2c2f86cc4bc30b01f5df455cb4122aadc9aa29ffcb3e7",
     (2, 4, "4a", 17, 0): "96391c10e55a1c8185251163bf117dca2de82f2fee6b8383ccf68aa54dc6b1e5",
     (2, 4, "3", 17, 0): "b8a82c8696e40b096505370015dd6347976f73857965d050e21d621bc150b9df",
@@ -145,4 +145,4 @@ def test_cert_sweep_below_32_is_pinned():
     lines = [sweep.sweep_line(ctx) + "\n" for ctx in sweep.contexts(32)]
     assert len(lines) == 156
     assert _sha("".join(lines)) == \
-        "21b6dd4a6d4d83d4a3d360ae33475b555b5bcd43824d494288242a596bf5e9bb"
+        "a63a1e4e7cfedef91e09dc0f37a48eb22952ae81bd8f7f7e6ab8c366d59a0d5c"

@@ -218,14 +218,17 @@ def test_relaxation_agrees_with_hom_exists(rng):
 def test_template_file_round_trip():
     """Every relation is written as a spec the parser reads back: family
     relations, explicit tuples, swapped relations, `const` (which has no
-    spec of its own) and weight sets that no family spec names."""
+    spec of its own), weight sets that no family spec names, and the empty
+    relation, by weights or by tuples, before another spec on its line."""
     rin = Template(((build_family("exact", 1, 3), build_family("nae", 3)), (NEQ, NEQ)))
     explicit = parse_template("template\npair explicit 2 0,1;1,0 explicit 2 0,1;1,0;1,1\n"
                               "end\n")
     const = build_family("const", 3)
     unnamed = (BoolRelation(4, frozenset([0, 2])), BoolRelation(4, frozenset([0, 2, 3])))
+    empty = (BoolRelation(3, frozenset()), BoolRelation(3, frozenset(), explicit_tuples=()))
     for t in (rin, rin.swap01(), explicit, explicit.swap01(),
-              Template(((const, const),)), Template((unnamed,))):
+              Template(((const, const),)), Template((unnamed,)),
+              Template(((empty[0], build_family("nae", 3)), empty))):
         text = format_template(t)
         again = parse_template(text)
         assert format_template(again) == text

@@ -1,8 +1,10 @@
 """Time certificate generation, I/O and checking at large p.
 
 The context is (1-in-3, NAE-3), case 4a, b = 1, at p = 97 and p = 199 by
-default: certificates of 3,413 and 14,289 nodes, far above the
-benchmark's, which stop near p = 31.  For each p it reports:
+default, primes far above the benchmark's, which stop near p = 31.  Only
+the cited step-one indices are derived there, so the certificates hold 44
+and 52 nodes (3,413 and 14,289 when they kept the whole chain down to
+those indices).  For each p it reports:
 
 * `pcsp certify -o FILE` and `pcsp verify FILE -t TEMPLATE` run as child
   processes: user plus system CPU time and peak RSS, read per child with
@@ -88,13 +90,13 @@ def measure(p: int, repeat: int, work: Path) -> None:
     finally:
         (gc.enable if was_enabled else gc.disable)()
     shape = phases["collector on"]
-    print(f"p = {p}: {shape['nodes']} nodes, {shape['bytes'] / 1e6:.1f} MB of JSON")
+    print(f"p = {p}: {shape['nodes']} nodes, {shape['bytes'] / 1e3:.1f} KB of JSON")
     for name, got in runs.items():
         print(f"  pcsp {name:<8} CPU {min(c for c, _ in got):6.2f} s   "
               f"peak RSS {min(m for _, m in got):6.1f} MB")
     for label, times in phases.items():
         print(f"  in process, {label + ':':<17} " + "  ".join(
-            f"{k} {times[k]:.2f} s" for k in ("generate", "serialize", "parse", "verify")))
+            f"{k} {times[k] * 1e3:.1f} ms" for k in ("generate", "serialize", "parse", "verify")))
 
 
 def main() -> None:
