@@ -28,7 +28,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .structures import BoolRelation, InternalCheckError, Template, build_family
+from .structures import (CASES, PRESETS, BoolRelation, InternalCheckError, Template,
+                         build_family)
 
 
 class CertificateError(ValueError):
@@ -80,17 +81,6 @@ def _ints(values, what: str) -> tuple:
             raise CertificateError(f"{what} {_quote(v)} is not an integer")
     return values
 
-
-PRESETS = {
-    # exponents: near-threshold window 1/s^(step+near), too-close cutoff
-    # 1/s^(b+tooclose), completion precondition 1/s^producing
-    "paper": {"near": 10, "tooclose": 12, "producing": 5},
-    # verification is local, so smaller windows lose no rigor; they only
-    # let certificates exist at desk-sized primes
-    "desk": {"near": -2, "tooclose": 2, "producing": 1},
-}
-
-CASES = ("1", "2", "3", "4a", "4b")
 
 MAX_FLIP_DEPTH = 64
 MAX_FREE_ROOTS = 4

@@ -10,11 +10,34 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from . import certificates, classifier, polymorphisms, solvers, structures
+from . import classifier, structures
+
+
+def _lazy(name: str):
+    """The submodule `name` of this package, put in sys.modules now but
+    executed on its first attribute access, so that a subcommand compiles
+    and runs only the modules it uses.  A module imported before `cli` is
+    returned as it is, so that no second copy of its classes exists."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+certificates = _lazy("certificates")
+polymorphisms = _lazy("polymorphisms")
+solvers = _lazy("solvers")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -35,15 +58,16 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {e}")
 
 
-def _load(parse, path):
-    """Read and parse one input file; a parse error names the file."""
+def _load(parse, path, error=structures.StructureError):
+    """Read and parse one input file; a parse error (`error`, raised by
+    `parse`) names the file."""
     if path is None:
         # the only optional path argument is -t, which poly needs for
         # --is-polymorphism and --enumerate
         raise _CliError("missing template file (-t)")
     try:
         return parse(_read(path))
-    except (structures.StructureError, polymorphisms.FunctionError) as e:
+    except error as e:
         raise _CliError(f"{path}: {e}")
 
 
@@ -83,7 +107,7 @@ def _cmd_solve(args, out) -> int:
             answer = solvers.solve_pcsp(t, inst)
         except classifier.UnsupportedTemplateError as e:
             raise _CliError(f"unsupported template: {e}")
-        except solvers.InternalCheckError as e:
+        except structures.InternalCheckError as e:
             raise _CliError(str(e), EXIT_INTERNAL)
         prefix = f"{path}: " if batch else ""
         out.write(prefix + ("YES" if answer.yes else "NO") + "\n")
@@ -111,7 +135,7 @@ def _cmd_poly(args, out) -> int:
         return EXIT_OK
     if args.function is None:
         raise _CliError("poly needs a truth-table file")
-    f = _load(polymorphisms.parse_function, args.function)
+    f = _load(polymorphisms.parse_function, args.function, polymorphisms.FunctionError)
     if args.is_polymorphism:
         t = _load(structures.parse_template, args.template)
         ok = polymorphisms.is_polymorphism(f, t)
@@ -213,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="generate a non-existence certificate")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
-    p.add_argument("--case", required=True, choices=certificates.CASES)
+    p.add_argument("--case", required=True, choices=structures.CASES)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-b", type=int, required=True)
-    p.add_argument("--preset", default="desk", choices=sorted(certificates.PRESETS))
+    p.add_argument("--preset", default="desk", choices=sorted(structures.PRESETS))
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("verify", help="check a certificate against a template")
@@ -274,11 +298,13 @@ def _run(argv, out) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (polymorphisms.ResourceGuard, polymorphisms.FunctionError,
-            structures.StructureError) as e:
+    except structures.StructureError as e:  # first, as it loads no module
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (solvers.InternalCheckError, certificates.CertificateError) as e:
+    except (polymorphisms.ResourceGuard, polymorphisms.FunctionError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (structures.InternalCheckError, certificates.CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

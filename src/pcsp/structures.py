@@ -34,6 +34,24 @@ FAMILY_KINDS = ("odd", "even", "exact", "atmost", "atleast", "nae", "neq", "full
 # refuse above this unless the caller overrides.
 MAX_ENUM_ARITY = 20
 
+# Largest `vars` count parse_instance accepts: the solvers keep state per
+# variable, so a larger count is refused before anything is allocated.
+MAX_VARS = 1 << 20
+
+# The certificate contexts' cases and window presets (read by
+# pcsp.certificates), kept here so that the command line can list them
+# without loading the certificate module.
+CASES = ("1", "2", "3", "4a", "4b")
+
+PRESETS = {
+    # exponents: near-threshold window 1/s^(step+near), too-close cutoff
+    # 1/s^(b+tooclose), completion precondition 1/s^producing
+    "paper": {"near": 10, "tooclose": 12, "producing": 5},
+    # verification is local, so smaller windows lose no rigor; they only
+    # let certificates exist at desk-sized primes
+    "desk": {"near": -2, "tooclose": 2, "producing": 1},
+}
+
 
 @dataclass(frozen=True)
 class BoolRelation:
@@ -476,6 +494,8 @@ def parse_instance(text: str) -> Instance:
                 var_count = int(tokens[1])
             except ValueError:
                 raise ParseError(lineno, f"bad variable count {tokens[1]!r}")
+            if var_count > MAX_VARS:
+                raise ParseError(lineno, f"variable count {var_count} above cap {MAX_VARS}")
             continue
         if tokens[0] != "c":
             raise ParseError(lineno, f"expected constraint line, got {tokens[0]!r}")

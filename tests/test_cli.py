@@ -9,7 +9,8 @@ import pytest
 from pcsp import classifier, cli, solvers
 from pcsp.cli import run
 from pcsp.polymorphisms import MAX_TABLE_ENTRIES, format_function, parity_function
-from pcsp.structures import Instance, format_instance, format_template
+from pcsp.structures import (MAX_VARS, Instance, format_instance, format_template,
+                             parse_instance)
 from conftest import child_env, template, with_neq
 from pcsp.structures import build_family
 
@@ -668,3 +669,78 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, collector_state):
     ]
     for argv, code in runs:
         assert _command_garbage(argv) == (code, 0), argv
+
+
+# Run in a fresh interpreter: the pcsp modules whose body executed (audit
+# event "exec", raised for each module body), then the exit code.
+_EXECUTED_SCRIPT = """
+import io, sys
+from pathlib import Path
+executed = []
+def hook(event, args):
+    if event == "exec":
+        path = Path(getattr(args[0], "co_filename", ""))
+        if path.parent.name == "pcsp":
+            executed.append(path.stem)
+sys.addaudithook(hook)
+from pcsp.cli import run
+code = run(sys.argv[1:], io.StringIO())
+print(code, *executed)
+"""
+
+_LAZY_MODULES = {"certificates", "polymorphisms", "solvers"}
+
+
+def _executed_modules(argv):
+    """(exit code, lazily loaded modules that executed, stderr) of argv run
+    in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _EXECUTED_SCRIPT, *argv],
+                          capture_output=True, text=True, env=child_env(), check=True)
+    code, *executed = proc.stdout.split()
+    return int(code), set(executed) & _LAZY_MODULES, proc.stderr
+
+
+def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path):
+    """`cli` keeps certificates, polymorphisms and solvers unexecuted until
+    a subcommand uses one of them.  A template parse error loads none of
+    them: `_load` used to name polymorphisms' FunctionError for every file."""
+    t13 = write_template(tmp_path, "t13.tmpl", ONE_IN_THREE)
+    bad = tmp_path / "bad.tmpl"
+    bad.write_text("template\npair rin 1 3 nae\nend\n", encoding="utf-8")
+    inst = write_instance(tmp_path, "i.inst", Instance(3, ((0, (0, 1, 2)),)))
+    fn = tmp_path / "par3.tt"
+    fn.write_text(format_function(parity_function(3)), encoding="utf-8")
+    cert = str(tmp_path / "c.json")
+    runs = [
+        (["classify", "-t", t13], 1, set()),
+        (["classify", "-t", str(bad)], 2, set()),
+        (["table", "--max-s", "3"], 0, set()),
+        (["solve", "-t", t13, "-i", inst], 0, {"solvers"}),
+        (["poly", str(fn), "--cyclic"], 0, {"polymorphisms"}),
+        (["certify", "-r", "1", "-s", "3", "--case", "4a", "-p", "7", "-b", "0",
+          "-o", cert], 0, {"certificates"}),
+        (["verify", cert, "-t", t13], 0, {"certificates"}),
+    ]
+    for argv, code, lazy in runs:
+        got_code, got_lazy, err = _executed_modules(argv)
+        assert (got_code, got_lazy) == (code, lazy), argv
+        assert err == (f"error: {bad}: line 2: nae expects 1 parameter(s)\n"
+                       if code == 2 else "")
+
+
+@pytest.mark.parametrize("count", [MAX_VARS + 1, 3000000, 10 ** 40])
+def test_variable_count_above_the_cap_is_refused(tmp_path, capsys, count):
+    """`vars 3000000` used to end in a MemoryError traceback with exit 1 (the
+    NO code); the count is now refused before any per-variable state."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    ipath = tmp_path / "big.inst"
+    ipath.write_text(f"# many variables\nvars {count}\nc 0 0 1 2\n", encoding="utf-8")
+    err = _usage_error(["solve", "-t", tpath, "-i", str(ipath)], capsys)
+    assert err == f"error: {ipath}: line 2: variable count {count} above cap {MAX_VARS}\n"
+
+
+def test_variable_count_at_the_cap_is_accepted():
+    assert parse_instance(f"vars {MAX_VARS}\n").var_count == MAX_VARS

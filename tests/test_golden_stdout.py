@@ -1,5 +1,6 @@
 """Byte-identity guard: stdout of the truth-table commands, of the catalog
-table and of certificate generation, pinned by SHA-256.
+table and of certificate generation, pinned by SHA-256, and the help
+texts, pinned verbatim.
 
 The inputs are written as text straight from a seeded generator, so they do
 not depend on the formatter under test.  A changed hash means some command
@@ -10,6 +11,7 @@ import hashlib
 import importlib.util
 import io
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +148,104 @@ def test_cert_sweep_below_32_is_pinned():
     assert len(lines) == 156
     assert _sha("".join(lines)) == \
         "a63a1e4e7cfedef91e09dc0f37a48eb22952ae81bd8f7f7e6ab8c366d59a0d5c"
+
+
+# `pcsp --help` and each subcommand's --help at 80 columns, as argparse
+# formats them in Python 3.10 to 3.12.
+HELP = {
+    (): """\
+usage: pcsp [-h] {classify,solve,poly,certify,verify,table} ...
+
+Boolean promise constraint satisfaction workbench
+
+positional arguments:
+  {classify,solve,poly,certify,verify,table}
+    classify            tractability verdict for a template
+    solve               decide instances through the sandwich
+    poly                truth-table operations
+    certify             generate a non-existence certificate
+    verify              check a certificate against a template
+    table               regenerate the classification table
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("classify",): """\
+usage: pcsp classify [-h] -t TEMPLATE [--json]
+
+options:
+  -h, --help            show this help message and exit
+  -t TEMPLATE, --template TEMPLATE
+  --json
+""",
+    ("solve",): """\
+usage: pcsp solve [-h] -t TEMPLATE -i INSTANCE [--witness]
+
+options:
+  -h, --help            show this help message and exit
+  -t TEMPLATE, --template TEMPLATE
+  -i INSTANCE, --instance INSTANCE
+                        instance file; repeat for batch mode
+  --witness
+""",
+    ("poly",): """\
+usage: pcsp poly [-h] [-t TEMPLATE] [--is-polymorphism] [--cyclic]
+                 [--doubly-cyclic P] [--compose-eq1 P] [--sigma P]
+                 [--enumerate N]
+                 [function]
+
+positional arguments:
+  function              truth-table file
+
+options:
+  -h, --help            show this help message and exit
+  -t TEMPLATE, --template TEMPLATE
+  --is-polymorphism
+  --cyclic
+  --doubly-cyclic P
+  --compose-eq1 P
+  --sigma P
+  --enumerate N
+""",
+    ("certify",): """\
+usage: pcsp certify [-h] -r R -s S --case {1,2,3,4a,4b} -p P -b B
+                    [--preset {desk,paper}] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  -r R
+  -s S
+  --case {1,2,3,4a,4b}
+  -p P
+  -b B
+  --preset {desk,paper}
+  -o OUTPUT, --output OUTPUT
+""",
+    ("verify",): """\
+usage: pcsp verify [-h] -t TEMPLATE certificate
+
+positional arguments:
+  certificate
+
+options:
+  -h, --help            show this help message and exit
+  -t TEMPLATE, --template TEMPLATE
+""",
+    ("table",): """\
+usage: pcsp table [-h] [--max-s MAX_S]
+
+options:
+  -h, --help     show this help message and exit
+  --max-s MAX_S
+""",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse 3.13 prints '-t, --template TEMPLATE'")
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_stdout_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([*command, "--help"], io.StringIO()) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (HELP[command], "")
