@@ -894,13 +894,14 @@ def _twin_available(ks, ctx: ProofContext) -> bool:
 
 
 def gen_stepone_chain(ctx: ProofContext) -> List[Node]:
-    """The 1-D tameness chain: case-specific plausible tuples plus negation
-    steps, as a b = 0 certificate holds them, unchecked.
+    """Step one as a b = 0 certificate holds it, unchecked: the plausible
+    tuple and negation nodes that `_CertBuilder.derive` writes for each
+    index 0..2a.
 
     These are the nodes that `propagate` re-derives on its own, reading
     only their justifications; their refs name earlier chain nodes."""
     builder = _CertBuilder(ctx)
-    builder._emit_stepone()
+    builder.derive_tame_range()
     return builder.nodes
 
 
@@ -1158,164 +1159,58 @@ def _pigeonhole_interval(ctx: ProofContext) -> range:
 
 
 class _CertBuilder:
-    """Emits nodes and keeps the parity facts their claims establish as a
-    forest: every linked term points at its parent through the node whose
-    claim relates the two.  No node is checked here: `gen_certificate`
-    re-derives each one once, in its final `verify_certificate`.  Step one
-    is the whole chain at b = 0 (`build_chain`), and at b >= 1 only the
-    indices that `forced` is asked for, derived on demand.
+    """Emits nodes and keeps, for every term their claims name, the node
+    that links it to the root of its class.  No node is checked here:
+    `gen_certificate` re-derives each one once, in its final
+    `verify_certificate`.  Step one is one construction, `derive`: at
+    b = 0 over every index 0..2a (`derive_tame_range`), and at b >= 1 only
+    for the indices that `forced` is asked for.
 
     Every claim relates a new term straight to the root of the class it
-    joins, so no σ-term is more than one link below its root.  A relation
-    between two known terms then costs one reference per term: the node
-    that links it to the root."""
+    joins: u_a in cases 3, 4a and 4b, the constant in cases 1 and 2.  A
+    relation between two known terms then costs one reference per term:
+    the node that links it to the root."""
 
     def __init__(self, ctx: ProofContext):
         self.ctx = ctx
         self.nodes: List[Node] = []
-        # term -> None for a root, else (parent, parity to it, node id)
-        self.up: Dict[tuple, Optional[Tuple[tuple, int, int]]] = {}
+        # term -> the node linking it to its root; None for a root
+        self.up: Dict[tuple, Optional[int]] = {}
         self.forced_ids: Dict[int, int] = {}
         self.tame_ids: Dict[tuple, int] = {}
-
-    def _to_root(self, t) -> Tuple[tuple, int, Optional[int]]:
-        """A known σ-term's root, its parity to it, and the one node between
-        (None when t is the root)."""
-        return self.up[t] or (t, 0, None)
+        if ctx.case not in ("1", "2"):
+            self.up[sigma_term(ctx.a)] = None  # the root of `_derive_nae`
 
     def _links(self, terms) -> List[int]:
         """The node linking each known term to its root; a root, or a term
         not yet named, has none.  Maybe repeated; `emit` sorts them once."""
-        return [link[2] for link in map(self.up.get, terms) if link]
+        return [nid for nid in map(self.up.get, terms) if nid is not None]
 
-    def emit(self, claim: dict, edge: tuple, justify: dict, refs) -> int:
-        """Append a node; `edge` is the parity edge the claim states, from
-        the terms the caller built the claim of."""
+    def emit(self, claim: dict, pair: tuple, justify: dict, refs) -> int:
+        """Append a node; `pair` is the two terms the claim relates."""
         nid = len(self.nodes)
         self.nodes.append(Node(nid, claim, justify, tuple(sorted(set(refs)))))
         # A builder claim either names a new term or relates two terms the
         # facts already relate, so the facts form trees and a claim between
         # two linked terms adds nothing.
-        x, y, parity = edge
+        x, y = pair
         up = self.up
         if x not in up:
             if y not in up:
                 if y == ZERO:
                     x, y = y, x
                 up[x] = None  # the constant, when present, is the root
-                up[y] = (x, parity, nid)
+                up[y] = nid
             else:
-                up[x] = (y, parity, nid)
+                up[x] = nid
         elif y not in up:
-            up[y] = (x, parity, nid)
+            up[y] = nid
         return nid
 
     def emit_tame(self, blocks: tuple, justify: dict, refs) -> int:
-        # the area is above theta exactly when the block sum is above a
-        edge = rect_term(blocks), sigma_term(0), self.ctx.tame_bit(sum(blocks))
-        return self.emit(claim_tame(blocks), edge, justify, refs)
+        return self.emit(claim_tame(blocks), (rect_term(blocks), _SIGMA0), justify, refs)
 
     # -- step one --
-
-    def _emit_stepone(self):
-        if self.ctx.case == "2":
-            self._chain_case_2()
-        elif self.ctx.case == "1":
-            self._chain_case_1()
-        else:
-            self._chain_case_4()
-
-    def _absolute(self, k: int, ks, refs) -> None:
-        """u_k = 0, by the plausible tuple ks (cases 1 and 2)."""
-        self.emit(claim_absolute(k, 0), (sigma_term(k), ZERO, 0),
-                  {"tag": "plausible1d", "tuples": [ks],
-                   "twin": _twin_available(ks, self.ctx)}, refs)
-
-    def _negation(self, k: int) -> None:
-        """u_(n-k) = 1, as the negation of the known u_k = 0."""
-        n = self.ctx.n
-        self.emit(claim_absolute(n - k, 1), (sigma_term(n - k), ZERO, 1),
-                  {"tag": "negation", "k": k}, self._links([sigma_term(k)]))
-
-    def _emit_distinct(self, new: int, known: int, ks) -> None:
-        """u_new differs from the known u_known, by the tuple ks.  The node
-        states that as u_new's relation to u_known's root, and cites the link
-        of each known term of ks to the root."""
-        root, parity, _ = self._to_root(sigma_term(known))
-        x = sigma_term(new)
-        claim = claim_equal if parity else claim_distinct
-        self.emit(claim(root, x), (root, x, parity ^ 1),
-                  {"tag": "plausible1d", "tuples": [ks],
-                   "twin": _twin_available(ks, self.ctx)},
-                  self._links(map(sigma_term, set(ks))))
-
-    def _chain_case_2(self):
-        ctx = self.ctx
-        for k in range(0, ctx.a + 1):
-            self._absolute(k, [k] * ctx.s, [])
-        for k in range(0, ctx.a + 1):
-            self._negation(k)
-
-    def _chain_case_1(self):
-        ctx = self.ctx
-        r, s, n = ctx.r, ctx.s, ctx.n
-        for k in range(ctx.a, -1, -1):
-            # u_(n-k-1) = 1 is the negation named one step before (none at k = a)
-            ks = [k] * r + [n - k - 1] * r + [r] + [0] * (s - 2 * r - 1)
-            self._absolute(k, ks, self._links([sigma_term(n - k - 1)]))
-            self._negation(k)
-
-    def _chain_case_4(self):
-        """Shared by the not-all-equal cases and the exact r = s/2 case, which
-        runs the same tuple lists with the complement rule folded in.  Each
-        tuple forces one new term to differ from a known one, and its node
-        states that as the new term's relation to the root, u_a."""
-        ctx = self.ctx
-        r, s, a = ctx.r, ctx.s, ctx.a
-        emit_distinct = self._emit_distinct
-        self.up[sigma_term(a)] = None  # the root of every term the chain names
-
-        emit_distinct(a + 1, a, [a] * (s - r) + [a + 1] * r)
-        if ctx.case == "4b":
-            emit_distinct(a + r, a, [a] * (s - 1) + [a + r])
-            emit_distinct(a - 1, a + 1,
-                          [a - 1] * ((s - 1) // 2) + [a + 1] * ((s - 1) // 2) + [a + r])
-        else:
-            emit_distinct(a - 1, a + 1,
-                          [a - 1] * ((s - r) // 2) + [a + 1] * ((s + r) // 2))
-        for i in range(2, a + 1):
-            if ctx.case == "4b":
-                first = [a + i] * (r // 2) + [a] * (s - r) + [a - i + 2] * (r // 2)
-                second = [a - i] * ((s - 1) // 2) + [a + i] * ((s - 1) // 2) + [a + r]
-            else:
-                if ((s + r) // 2) % 2 == 0:
-                    first = ([a + i] * ((s + r) // 4) + [a - 1] * ((s - r) // 2)
-                             + [a - i + 2] * ((s + r) // 4))
-                else:
-                    first = ([a + i] * ((s + r + 2) // 4) + [a - 1] * ((s - r - 2) // 2)
-                             + [a - i + 1] * 2 + [a - i + 2] * ((s + r - 6) // 4))
-                second = [a - i] * ((s - r) // 2) + [a + i] * ((s - r) // 2) + [a + 1] * r
-            # in case 4b, u_(a+r) is named at the start, so at i = r the first
-            # tuple has no new term
-            if sigma_term(a + i) not in self.up:
-                emit_distinct(a + i, a - i + 1, first)
-            emit_distinct(a - i, a + i, second)
-
-    def build_chain(self):
-        """Emit the whole step-one chain, for a b = 0 certificate, and check
-        that its facts link every index 0..2a to u_0, which the `tame_base`
-        conclusion replays."""
-        self._emit_stepone()
-        a = self.ctx.a
-        order = [a]
-        for i in range(1, a + 1):
-            order.extend([a + i, a - i])
-        up = self.up
-        root0 = self._to_root(_SIGMA0)[0] if _SIGMA0 in up else None
-        for k in order:
-            x = sigma_term(k)
-            if x not in up or self._to_root(x)[0] != root0:
-                raise GenerationError(f"no established fact links {x} and {_SIGMA0}")
 
     def _derive_absolute(self, k: int) -> None:
         """Name u_k in case 1 or 2, unless it is named.  Above a, u_k = 1 is
@@ -1330,21 +1225,27 @@ class _CertBuilder:
         h = max(a + 1, ceil(n - k - (s - 2r)n/r)), so the recursion moves
         from k to n - h, which is a or more than k + n/r - 1: it reaches a
         in O(r) steps, whatever p is."""
-        if sigma_term(k) in self.up:
+        x = sigma_term(k)
+        if x in self.up:
             return
         ctx = self.ctx
         n, a, r, s = ctx.n, ctx.a, ctx.r, ctx.s
         if k > a:
             self._derive_absolute(n - k)
-            self._negation(n - k)
-        elif ctx.case == "2":
-            self._absolute(k, [k] * s, [])
+            self.emit(claim_absolute(k, 1), (x, ZERO), {"tag": "negation", "k": n - k},
+                      self._links([sigma_term(n - k)]))
+            return
+        if ctx.case == "2":
+            ks, refs = [k] * s, []
         else:
             h = a if k == a else max(a + 1, -(((k - n) * r + (s - 2 * r) * n) // r))
             if h > a:
                 self._derive_absolute(h)
             ks = [k] * r + [h] * r + _near_equal(r * (n - k - h), s - 2 * r)
-            self._absolute(k, ks, self._links([sigma_term(h)]))
+            refs = self._links([sigma_term(h)])
+        self.emit(claim_absolute(k, 0), (x, ZERO),
+                  {"tag": "plausible1d", "tuples": [ks], "twin": _twin_available(ks, ctx)},
+                  refs)
 
     def _derive_nae(self, k: int, active: frozenset = frozenset()) -> None:
         """Name u_k in case 3, 4a or 4b, unless it is named, against the
@@ -1365,28 +1266,56 @@ class _CertBuilder:
         entry still being derived (`active`) would be a cycle and is passed
         over.  At k = a + 1 and j = r the split is s - r copies of a.
         Raises GenerationError naming u_k when no j works."""
+        x = sigma_term(k)
+        up = self.up
+        if x in up:
+            return
         ctx = self.ctx
         r, s, n, a = ctx.r, ctx.s, ctx.n, ctx.a
-        self.up.setdefault(sigma_term(a), None)
-        if sigma_term(k) in self.up:
-            return
-        active |= {k}
         for j in range(1, s):
             rest = r * n - j * k
             if not 0 <= rest <= (s - j) * n:
                 continue
             split = _near_equal(rest, s - j)
             hi, lo = split[0], split[-1]
-            if (hi > a if k > a else lo <= a) or not active.isdisjoint(split):
-                continue  # an entry on k's side, or one still being derived
-            try:
-                for e in ((hi, lo) if k > a else (lo, hi)):
-                    self._derive_nae(e, active)
-            except GenerationError:
-                continue
-            self._emit_distinct(k, lo, [k] * j + split)
+            if hi > a if k > a else lo <= a:
+                continue  # an entry on k's side
+            if sigma_term(hi) not in up or sigma_term(lo) not in up:
+                if not active.isdisjoint(split):
+                    continue  # an entry still being derived
+                try:
+                    for e in ((hi, lo) if k > a else (lo, hi)):
+                        self._derive_nae(e, active | {k})
+                except GenerationError:
+                    continue
+            ks = [k] * j + split
+            root = sigma_term(a)
+            self.emit((claim_distinct if k > a else claim_equal)(root, x), (root, x),
+                      {"tag": "plausible1d", "tuples": [ks], "twin": _twin_available(ks, ctx)},
+                      self._links((sigma_term(hi), sigma_term(lo))))
             return
-        raise GenerationError(f"no plausible tuple forces {sigma_term(k)}")
+        raise GenerationError(f"no plausible tuple forces {x}")
+
+    def derive(self, k: int) -> None:
+        """Name u_k at its tame parity, [k > a] against u_0, unless it is
+        named, or raise GenerationError naming u_k: by `_derive_absolute`
+        in cases 1 and 2, and by `_derive_nae` in cases 3, 4a and 4b."""
+        if self.ctx.case in ("1", "2"):
+            self._derive_absolute(k)
+        else:
+            self._derive_nae(k)
+
+    def derive_tame_range(self) -> None:
+        """Name u_0 .. u_2a, the indices that a b = 0 certificate's
+        `tame_base` conclusion replays, outward from the threshold: a,
+        a + 1, a - 1, a + 2, a - 2, and so on.  So the entries of each
+        derivation, which lie nearer the threshold, are mostly named
+        already."""
+        a = self.ctx.a
+        self.derive(a)
+        for i in range(1, a + 1):
+            self.derive(a + i)
+            self.derive(a - i)
 
     def forced(self, k: int) -> int:
         """The closure node stating u_k's tame relation to u_0, for a b >= 1
@@ -1394,13 +1323,11 @@ class _CertBuilder:
         are named on demand, on their links to their common root."""
         nid = self.forced_ids.get(k)
         if nid is None:
-            derive = self._derive_absolute if self.ctx.case in ("1", "2") else self._derive_nae
-            derive(k)
-            derive(0)
+            self.derive(k)
+            self.derive(0)
             x = sigma_term(k)
-            bit = self.ctx.tame_bit(k)
             nid = self.forced_ids[k] = self.emit(
-                claim_forced(k, bit), (x, _SIGMA0, bit), {"tag": "closure"},
+                claim_forced(k, self.ctx.tame_bit(k)), (x, _SIGMA0), {"tag": "closure"},
                 self._links((x, _SIGMA0)) if k else [])
         return nid
 
@@ -1495,21 +1422,21 @@ def _cited_by(nodes: List[Node], last: List[int]) -> tuple:
 def gen_certificate(ctx: ProofContext) -> "Certificate":
     """Generate the full certificate for the context.
 
-    With b = 0 the result is the base tameness chain alone.  With b >= 1 it
-    holds, for every pattern pair in the pigeonhole interval, tameness
-    subproofs of the two composite rectangles and the distinctness node that
-    contradicts boundedness, and the derivations of only the step-one
-    indices those subproofs cite.  Failures (an interval with too few
-    integers, a chain with a gap, an index no tuple forces, completion
-    running out of range) raise GenerationError: the parameters, usually
-    p, are too small.
+    With b = 0 the result is step one alone: the derivations of every
+    index 0..2a.  With b >= 1 it holds, for every pattern pair in the
+    pigeonhole interval, tameness subproofs of the two composite rectangles
+    and the distinctness node that contradicts boundedness, and the
+    derivations of only the step-one indices those subproofs cite.
+    Failures (an interval with too few integers, an index no tuple forces,
+    completion running out of range) raise GenerationError: the
+    parameters, usually p, are too small.
 
     The final `verify_certificate`, the checker `pcsp verify` runs, is the
     one self-check; a failure raises InternalCheckError naming the node.
     """
     cb = _CertBuilder(ctx)
     if ctx.b == 0:
-        cb.build_chain()
+        cb.derive_tame_range()
         cert = Certificate(ctx, tuple(cb.nodes), "tame_base")
     else:
         ints = _pigeonhole_interval(ctx)
@@ -1531,7 +1458,7 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                 n1 = cb.ensure_tame(zb1)
                 n2 = cb.ensure_tame(zb2)
                 finale.append(cb.emit(claim_distinct(rect_term(zb1), rect_term(zb2)),
-                                      (rect_term(zb1), rect_term(zb2), 1),
+                                      (rect_term(zb1), rect_term(zb2)),
                                       {"tag": "boundedness", "z21": z21, "z22": z22},
                                       [n1, n2]))
         cert = Certificate(ctx, _cited_by(cb.nodes, finale), "contradiction")

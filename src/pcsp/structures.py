@@ -34,6 +34,11 @@ FAMILY_KINDS = ("odd", "even", "exact", "atmost", "atleast", "nae", "neq", "full
 # refuse above this unless the caller overrides.
 MAX_ENUM_ARITY = 20
 
+# Largest relation arity a template may state: weight sets and the
+# classifier's scans grow with the arity, so a larger one is refused before
+# any weight set is built.  Far above every catalog use.
+MAX_RELATION_ARITY = 1 << 17
+
 # Largest `vars` count parse_instance accepts: the solvers keep state per
 # variable, so a larger count is refused before anything is allocated.
 MAX_VARS = 1 << 20
@@ -65,6 +70,8 @@ class BoolRelation:
     def __post_init__(self):
         if self.arity < 1:
             raise StructureError("relation arity must be >= 1")
+        if self.arity > MAX_RELATION_ARITY:
+            raise StructureError(f"relation arity {self.arity} above cap {MAX_RELATION_ARITY}")
         bad = [w for w in self.weights if not (0 <= w <= self.arity)]
         if bad:
             raise StructureError(f"weights {bad} outside 0..{self.arity}")
@@ -150,6 +157,8 @@ def build_family(kind: str, *args: int) -> BoolRelation:
         r, s = None, args[0]
     if s < 1:
         raise StructureError("arity s must be >= 1")
+    if s > MAX_RELATION_ARITY:
+        raise StructureError(f"relation arity {s} above cap {MAX_RELATION_ARITY}")
     if r is not None and not (0 <= r <= s):
         raise StructureError(f"r={r} outside 0..{s}")
 

@@ -350,31 +350,41 @@ def test_finale_checks_imply_the_window_and_the_steps():
 # -- step-one chains -------------------------------------------------------------
 
 def test_chain_137_tuples_spec_values():
+    """At b = 0 the builder names u_0 .. u_2a outward from the threshold:
+    a + 1, a - 1, a + 2, a - 2, ...; u_a is the root and has no node.  At
+    (1-in-3, NAE-3), p = 7, `_derive_nae` takes j = 1 for every index: u_k
+    from the tuple (k, x, y), with x >= y the near-equal split of n - k."""
     chain = gen_stepone_chain(CTX137)
     tuples = [tuple(n.justify["tuples"][0]) for n in chain]
-    assert tuples[0] == (16, 16, 17)
-    assert tuples[1] == (15, 17, 17)
-    # families indexed by i = 2..a: first (16+i, 15, 18-i), then (16-i, 16+i, 17)
-    for i in range(2, 17):
-        assert tuples[2 * i - 2] == (16 + i, 15, 18 - i)
-        assert tuples[2 * i - 1] == (16 - i, 16 + i, 17)
+    order = [k for i in range(1, 17) for k in (16 + i, 16 - i)]
+    assert tuples == [(k, (50 - k) // 2, (49 - k) // 2) for k in order]
     for t in tuples:
         assert sum(t) == 49 and is_plausible_1d(list(t), CTX137)
 
 
 def test_chain_245_first_step():
+    """The first index named is a + 1, from a + 1 taken r times and s - r
+    copies of a (j = r in `_derive_nae`: at j = 1 an entry lies above a)."""
     chain = gen_stepone_chain(CTX245)
-    assert tuple(chain[0].justify["tuples"][0]) == (12, 12, 13, 13)
+    assert tuple(chain[0].justify["tuples"][0]) == (13, 13, 12, 12)
     for n in chain:
         assert is_plausible_1d(n.justify["tuples"][0], CTX245)
 
 
 def test_chain_case2_constant_tuples():
+    """Case 2 names u_k = 0 for k <= a by the tuple [k]*s, and u_k = 1 for
+    k above a as the negation of u_(n-k); one node per index 0..2a."""
     ctx = ProofContext(2, 4, "2", 5, 0)
     chain = gen_stepone_chain(ctx)
-    plaus = [n for n in chain if n.justify["tag"] == "plausible1d"]
-    for k, node in enumerate(plaus[: ctx.a + 1]):
-        assert node.justify["tuples"][0] == [k] * 4
+    named = []
+    for node in chain:
+        k, bit = node.claim["k"], node.claim["bit"]
+        if node.justify["tag"] == "plausible1d":
+            assert k <= ctx.a and bit == 0 and node.justify["tuples"] == [[k] * 4]
+        else:
+            assert k > ctx.a and bit == 1 and node.justify == {"tag": "negation", "k": ctx.n - k}
+        named.append(k)
+    assert sorted(named) == list(range(2 * ctx.a + 1))
 
 
 def test_chain_case1_shape():
@@ -383,6 +393,17 @@ def test_chain_case1_shape():
     first = chain[0].justify["tuples"][0]
     assert sorted(first) == sorted([60] * 4 + [2])
     assert sum(first) == 2 * 121
+
+
+@pytest.mark.parametrize("args", ONE_PER_CASE_AT_B0)
+def test_b0_certificate_names_each_index_once(args):
+    """A b = 0 certificate is step one alone: one plausible tuple or
+    negation node per index it names, and it names no index outside
+    0..2a, so it holds at most 2a + 1 nodes (2a when u_a is the root)."""
+    ctx = ProofContext(*args)
+    cert = gen_certificate(ctx)
+    assert len(cert.nodes) <= 2 * ctx.a + 1
+    assert {node.justify["tag"] for node in cert.nodes} <= {"plausible1d", "negation"}
 
 
 # -- propagation -----------------------------------------------------------------
@@ -408,7 +429,7 @@ def test_propagate_case1_absolute_zero():
     ctx = ProofContext(2, 5, "1", 11, 0)
     chain = gen_stepone_chain(ctx)
     res = propagate(chain, B("atmost", 3, 5), ctx)
-    assert res.status == "ok" and res.absolute[0] == 0 and res.absolute[121] == 1
+    assert res.status == "ok" and res.absolute[0] == 0 and res.absolute[2 * ctx.a] == 1
 
 
 def test_propagate_incomplete_when_node_deleted():
@@ -785,25 +806,18 @@ def test_generation_reports_small_p():
 
 
 def test_chain_that_misses_an_index_is_a_small_p(monkeypatch):
-    """At b = 0 generation checks that the step-one chain relates every
-    index 0..2a to u_0 before the self-check, so a chain with a gap is a
-    GenerationError.  At b = 1 each cited index is derived on demand, and a
-    derivation that finds no tuple is a GenerationError naming the index.
-    Generation, which falls back from a halving to a completion when a
-    derivation fails, may name a later cause; neither run reaches the
-    self-check."""
-    def first_node_only(builder):  # p = 7, a = 16: the chain's first tuple
-        u16, u17 = ("sigma", 16), ("sigma", 17)
-        builder.emit(certificates.claim_distinct(u16, u17), (u16, u17, 1),
-                     {"tag": "plausible1d", "tuples": [[16, 16, 17]], "twin": False}, [])
-
-    monkeypatch.setattr(certificates._CertBuilder, "_emit_stepone", first_node_only)
-    with pytest.raises(GenerationError, match=r"no established fact links \('sigma', 16\)"):
-        gen_certificate(ProofContext(1, 3, "4a", 7, 0))
+    """Step one names each index by a derivation that finds a plausible
+    tuple forcing it, or raises a GenerationError naming the index: at
+    b = 0 for each of 0..2a in turn, and at b = 1 for each index `forced`
+    is asked for.  Generation, which falls back from a halving to a
+    completion when a derivation fails, may name a later cause; no run
+    reaches the self-check."""
     # every split puts its whole budget on one entry, so 0 is on k's side
     # in every split of a k below the threshold
     monkeypatch.setattr(certificates, "_near_equal",
                         lambda total, parts: [total] + [0] * (parts - 1))
+    with pytest.raises(GenerationError, match=r"^no plausible tuple forces \('sigma', 17\)$"):
+        gen_certificate(ProofContext(1, 3, "4a", 7, 0))
     ctx = ProofContext(1, 3, "4a", 13, 1)
     with pytest.raises(GenerationError, match=r"^no plausible tuple forces \('sigma', 0\)$"):
         certificates._CertBuilder(ctx).forced(0)

@@ -9,8 +9,8 @@ import pytest
 from pcsp import classifier, cli, solvers
 from pcsp.cli import run
 from pcsp.polymorphisms import MAX_TABLE_ENTRIES, format_function, parity_function
-from pcsp.structures import (MAX_VARS, Instance, format_instance, format_template,
-                             parse_instance)
+from pcsp.structures import (MAX_RELATION_ARITY, MAX_VARS, Instance, format_instance,
+                             format_template, parse_instance)
 from conftest import child_env, template, with_neq
 from pcsp.structures import build_family
 
@@ -740,6 +740,20 @@ def test_variable_count_above_the_cap_is_refused(tmp_path, capsys, count):
     ipath.write_text(f"# many variables\nvars {count}\nc 0 0 1 2\n", encoding="utf-8")
     err = _usage_error(["solve", "-t", tpath, "-i", str(ipath)], capsys)
     assert err == f"error: {ipath}: line 2: variable count {count} above cap {MAX_VARS}\n"
+
+
+@pytest.mark.parametrize("pair, arity", [("full 999999 full 999999", 999999),
+                                         ("rin 1 9999999 nae 9999999", 9999999),
+                                         ("explicit 999999 - explicit 999999 -", 999999)])
+def test_relation_arity_above_the_cap_is_refused(tmp_path, capsys, pair, arity):
+    """`classify` on `pair full 999999 full 999999` used to exit 0 after
+    1.35 s of CPU and 425 MB, and on `pair rin 1 9999999 nae 9999999` take
+    3.5 s and 1.7 GB; the arity is now refused before any weight set is
+    built, for family and explicit relations alike."""
+    path = tmp_path / "big.tmpl"
+    path.write_text(f"template\npair {pair}\nend\n", encoding="utf-8")
+    err = _usage_error(["classify", "-t", str(path)], capsys)
+    assert err == f"error: {path}: line 2: relation arity {arity} above cap {MAX_RELATION_ARITY}\n"
 
 
 def test_variable_count_at_the_cap_is_accepted():

@@ -10,10 +10,9 @@ run takes more than OP_BUDGET_S of CPU time.
 
 Template and instance mutations keep numbers short (edits insert one
 character at a time, and replacement tokens are small).  The template
-format has no size cap yet: `classify` on a template of arity 10^6 builds
-weight sets of 10^6 entries (`full 999999` takes 0.8 s and over 400 MB).
-The instance format caps only the `vars` count (at MAX_VARS), not the
-number or length of its constraints.
+format caps each relation's arity (at MAX_RELATION_ARITY), not the number
+of pairs.  The instance format caps only the `vars` count (at MAX_VARS),
+not the number or length of its constraints.
 The truth-table header is capped (arity at most MAX_ARITY, entries at most
 MAX_TABLE_ENTRIES), so its replacement tokens include huge numbers.  The
 seed is fixed, so a failure names a case that reproduces.

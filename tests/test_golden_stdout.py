@@ -115,12 +115,12 @@ CERTIFY_SHA = {
     (2, 4, "2", 29, 1): "e1d1acb604e7ebd23dd3d1dec7eddec0a3e95fb8d23ee6374c6612b13f9195cf",
     (2, 5, "1", 31, 1): "90647b4c001530f31bb672028f2f24cb2b8f973693f86af1771997b6b6c9f7a2",
     (1, 3, "4a", 19, 1): "2bc0e8676f2a595c820786401a4c276864967ad48adc1d24e2a7efa1e2c3429c",
-    (1, 3, "4a", 7, 0): "fd59bd21d536ba885ee2c2f86cc4bc30b01f5df455cb4122aadc9aa29ffcb3e7",
-    (2, 4, "4a", 17, 0): "96391c10e55a1c8185251163bf117dca2de82f2fee6b8383ccf68aa54dc6b1e5",
-    (2, 4, "3", 17, 0): "b8a82c8696e40b096505370015dd6347976f73857965d050e21d621bc150b9df",
-    (2, 5, "4b", 11, 0): "a9e16ea49b813bcf26da629bc07ffd33dac65d41a5fe007fa1df61c6debfd305",
-    (2, 4, "2", 13, 0): "992910b83fe1590d5530e1e0b23cd1e671657ddca3f5f011d2fd86365bb4b2cd",
-    (2, 5, "1", 11, 0): "d0d9c3376346808a3659ac4e748dd3b75416ac4a3f6057d2688c080163670798",
+    (1, 3, "4a", 7, 0): "d0e12923a435b71cf933aa53c0130a0529b19d395a655bb69404d4dcbde5396d",
+    (2, 4, "4a", 17, 0): "2fd8c4475b38b3e9566fbdc046196079c991eed09f2929377308ab8f9b262ec9",
+    (2, 4, "3", 17, 0): "03cbb15a29e2662a87c58712df9889f5397a7b3428149420998cbf57804b5f49",
+    (2, 5, "4b", 11, 0): "2c003d34361ca6c695480d12477ad59280be83c1eeef2a04667c714f67f74be1",
+    (2, 4, "2", 13, 0): "d021a273cef24725474acf79475da89580749d98b44899a86344ebca030108db",
+    (2, 5, "1", 11, 0): "48e9309ea116ad6ad53c39a97e7b78ac123a70634f980694671416f53cce35c3",
 }
 
 
@@ -147,7 +147,7 @@ def test_cert_sweep_below_32_is_pinned():
     lines = [sweep.sweep_line(ctx) + "\n" for ctx in sweep.contexts(32)]
     assert len(lines) == 156
     assert _sha("".join(lines)) == \
-        "a63a1e4e7cfedef91e09dc0f37a48eb22952ae81bd8f7f7e6ab8c366d59a0d5c"
+        "7f34e5b96f414516c2a6e98e1852d4ec5eba277b5748a5b078b71bd833b84cdb"
 
 
 # `pcsp --help` and each subcommand's --help at 80 columns, as argparse
