@@ -1164,7 +1164,9 @@ class _CertBuilder:
     `gen_certificate` re-derives each one once, in its final
     `verify_certificate`.  Step one is one construction, `derive`: at
     b = 0 over every index 0..2a (`derive_tame_range`), and at b >= 1 only
-    for the indices that `forced` is asked for.
+    for the indices that `forced` is asked for.  It only appends, to
+    `nodes` and its three dicts, so an attempt that fails rolls back to
+    the `_mark` taken before it and leaves nothing behind.
 
     Every claim relates a new term straight to the root of the class it
     joins: u_a in cases 3, 4a and 4b, the constant in cases 1 and 2.  A
@@ -1180,6 +1182,16 @@ class _CertBuilder:
         self.tame_ids: Dict[tuple, int] = {}
         if ctx.case not in ("1", "2"):
             self.up[sigma_term(ctx.a)] = None  # the root of `_derive_nae`
+
+    def _mark(self) -> tuple:
+        return len(self.nodes), len(self.up), len(self.forced_ids), len(self.tame_ids)
+
+    def _rollback(self, mark: tuple) -> None:
+        """Drop all emitted since `mark`: each dict's newest entries."""
+        del self.nodes[mark[0]:]
+        for d, size in zip((self.up, self.forced_ids, self.tame_ids), mark[1:]):
+            while len(d) > size:
+                d.popitem()
 
     def _links(self, terms) -> List[int]:
         """The node linking each known term to its root; a root, or a term
@@ -1264,7 +1276,8 @@ class _CertBuilder:
         rounding can put an entry on k's side, so each j from 1 up is
         tried in turn, the entry nearer theta*n derived first; a j with an
         entry still being derived (`active`) would be a cycle and is passed
-        over.  At k = a + 1 and j = r the split is s - r copies of a.
+        over; so is a j whose entries fail, once all they emitted is rolled
+        back.  At k = a + 1 and j = r the split is s - r copies of a.
         Raises GenerationError naming u_k when no j works."""
         x = sigma_term(k)
         up = self.up
@@ -1283,10 +1296,12 @@ class _CertBuilder:
             if sigma_term(hi) not in up or sigma_term(lo) not in up:
                 if not active.isdisjoint(split):
                     continue  # an entry still being derived
+                mark = self._mark()
                 try:
                     for e in ((hi, lo) if k > a else (lo, hi)):
                         self._derive_nae(e, active | {k})
                 except GenerationError:
+                    self._rollback(mark)
                     continue
             ks = [k] * j + split
             root = sigma_term(a)
@@ -1334,48 +1349,52 @@ class _CertBuilder:
     # -- induction over almost rectangles --
 
     def ensure_tame(self, blocks, depth: int = 0) -> int:
-        ctx = self.ctx
         blocks = tuple(blocks)
         if blocks in self.tame_ids:
             return self.tame_ids[blocks]
         if depth > MAX_FLIP_DEPTH:
             raise GenerationError("induction recursion exceeded its depth cap")
         ar = as_almost_rectangle(blocks)  # every caller passes one
-        lam = area(blocks, ctx.p)  # never theta: see ProofContext.a
 
-        nid: Optional[int] = None
         if ar.step <= 1:
             nid = self.emit_tame(blocks, {"tag": "double_cyclicity"},
                                  [self.forced(sum(blocks))])
         else:
-            too_close = abs(lam - ctx.theta) < Fraction(
-                1, ctx.s ** (ctx.b + ctx.exponent("tooclose")))
-            if not too_close:
-                nid = self._try_halving(blocks, depth)
+            mark = self._mark()
+            try:
+                nid, halving = self._try_halving(blocks, depth), None
+            except GenerationError as e:
+                self._rollback(mark)
+                nid, halving = None, e  # why the halving failed
             if nid is None:
-                nid = self._flip(blocks, depth)
+                try:
+                    nid = self._flip(blocks, depth)
+                except GenerationError as e:
+                    raise e if halving is None else GenerationError(f"{e}; halving: ({halving})")
         self.tame_ids[blocks] = nid
         return nid
 
     def _try_halving(self, blocks, depth: int) -> Optional[int]:
+        """The halving node for `blocks`, or None when no halving applies.
+        A half whose subproof fails raises its GenerationError, and
+        `ensure_tame` rolls the attempt back before it falls back."""
         ctx = self.ctx
+        lam = area(blocks, ctx.p)  # never theta: see ProofContext.a
+        if abs(lam - ctx.theta) < Fraction(1, ctx.s ** (ctx.b + ctx.exponent("tooclose"))):
+            return None  # too close to the threshold
         try:
             _, l_ar = _complete(blocks, ctx.m_half, ctx)
             h1, h2 = halve(l_ar.blocks)
         except CertificateError:
             return None
-        lam = area(blocks, ctx.p)
         want = ctx.theta < lam  # children must sit on the other side
         for h in (h1, h2):
             side = area(h.blocks, ctx.p)
             if (side < ctx.theta) != want:
                 return None
-        try:
-            s1 = self.ensure_tame(h1.blocks, depth + 1)
-            s2 = self.ensure_tame(h2.blocks, depth + 1)
-            return self.emit_tame(blocks, {"tag": "halving"}, [s1, s2])
-        except GenerationError:
-            return None
+        s1 = self.ensure_tame(h1.blocks, depth + 1)
+        s2 = self.ensure_tame(h2.blocks, depth + 1)
+        return self.emit_tame(blocks, {"tag": "halving"}, [s1, s2])
 
     def _flip(self, blocks, depth: int) -> int:
         ctx = self.ctx
@@ -1397,28 +1416,6 @@ def _finale_heights(ctx: ProofContext, z2: int) -> int:
     return min(p, math.ceil((ctx.theta * p * p - (p - m) * z2) / m) - 1)
 
 
-def _cited_by(nodes: List[Node], last: List[int]) -> tuple:
-    """The nodes that the `last` ones reach through their refs, those
-    included, in their order; ids and refs are renumbered in place."""
-    keep = bytearray(len(nodes))
-    for i in last:
-        keep[i] = 1
-    for node in reversed(nodes):
-        if keep[node.id]:
-            for rid in node.refs:
-                keep[rid] = 1
-    if keep.find(0) < 0:
-        return tuple(nodes)  # nothing to drop: ids and refs stand
-    new_id = [0] * len(nodes)
-    kept = []
-    for node in nodes:
-        if keep[node.id]:
-            new_id[node.id] = node.id = len(kept)
-            node.refs = tuple([new_id[rid] for rid in node.refs])
-            kept.append(node)
-    return tuple(kept)
-
-
 def gen_certificate(ctx: ProofContext) -> "Certificate":
     """Generate the full certificate for the context.
 
@@ -1429,7 +1426,9 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
     derivations of only the step-one indices those subproofs cite.
     Failures (an interval with too few integers, an index no tuple forces,
     completion running out of range) raise GenerationError: the
-    parameters, usually p, are too small.
+    parameters, usually p, are too small.  When a halving fails and the
+    completion it falls back to fails too, the message names both causes,
+    the halving's in parentheses.
 
     The final `verify_certificate`, the checker `pcsp verify` runs, is the
     one self-check; a failure raises InternalCheckError naming the node.
@@ -1437,7 +1436,6 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
     cb = _CertBuilder(ctx)
     if ctx.b == 0:
         cb.derive_tame_range()
-        cert = Certificate(ctx, tuple(cb.nodes), "tame_base")
     else:
         ints = _pigeonhole_interval(ctx)
         if len(ints) < ctx.b + 1:
@@ -1445,7 +1443,6 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                 f"p too small for b: interval has {len(ints)} integers, "
                 f"needs {ctx.b + 1}")
         m = (ctx.p - 1) // 2
-        finale = []
         for i, z21 in enumerate(ints):
             for z22 in ints[i + 1:]:
                 z1h = _finale_heights(ctx, z21)
@@ -1455,13 +1452,11 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
                     if not near_threshold(zb, ctx):
                         raise GenerationError("p too small for b: rectangle "
                                               "not near-threshold")
-                n1 = cb.ensure_tame(zb1)
-                n2 = cb.ensure_tame(zb2)
-                finale.append(cb.emit(claim_distinct(rect_term(zb1), rect_term(zb2)),
-                                      (rect_term(zb1), rect_term(zb2)),
-                                      {"tag": "boundedness", "z21": z21, "z22": z22},
-                                      [n1, n2]))
-        cert = Certificate(ctx, _cited_by(cb.nodes, finale), "contradiction")
+                pair = rect_term(zb1), rect_term(zb2)
+                cb.emit(claim_distinct(*pair), pair,
+                        {"tag": "boundedness", "z21": z21, "z22": z22},
+                        [cb.ensure_tame(zb1), cb.ensure_tame(zb2)])
+    cert = Certificate(ctx, tuple(cb.nodes), "contradiction" if ctx.b else "tame_base")
     check = verify_certificate(cert, ctx.canonical_template())
     if not check.ok:
         where = "the conclusion"

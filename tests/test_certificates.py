@@ -787,17 +787,42 @@ def test_swept_certificates_state_every_relation_against_the_root():
             assert len(node.refs) <= 3, (ctx, node.id)
 
 
-def test_cited_by_drops_what_the_last_nodes_do_not_reach():
-    """No context with s <= 9, p < 200 and b <= 3 now leaves a node that its
-    boundedness nodes do not reach, but a halving that fails after its first
-    half, or a derivation that fails after naming an entry, still could.
-    `_cited_by` drops such a node and renumbers the ids and refs after it."""
-    refs = [(), (), (0,), (2,), (0, 3)]
-    nodes = [certificates.Node(i, {"kind": "forced", "k": i, "bit": 0}, {"tag": "closure"}, r)
-             for i, r in enumerate(refs)]
-    kept = certificates._cited_by(nodes, [4])
-    assert [(node.id, node.claim["k"], node.refs) for node in kept] == [
-        (0, 0, ()), (1, 2, (0,)), (2, 3, (1,)), (3, 4, (0, 2))]
+@pytest.mark.parametrize("args", [(2, 4, "4a", 5, 1), (2, 4, "4a", 13, 1)])
+def test_halving_that_falls_back_leaves_nothing_behind(monkeypatch, args):
+    """In these contexts a halving names terms and emits nodes, 10 and 16 of
+    them, before one of its subproofs fails.  Every halving attempt that
+    falls back leaves the nodes and the three dicts as they were before
+    it: the completion tried next finds them unchanged.  Generation still
+    ends in a GenerationError."""
+    builder = certificates._CertBuilder
+    emitted = []
+    tried = {}  # blocks -> (state, emitted count) when their halving was tried
+    fell_back = []  # (state unchanged, nodes emitted during the attempt)
+
+    def state(cb):
+        return (list(cb.nodes), list(cb.up.items()), list(cb.forced_ids.items()),
+                list(cb.tame_ids.items()))
+
+    def emit(self, *args, emit=builder.emit):
+        emitted.append(None)
+        return emit(self, *args)
+
+    def try_halving(self, blocks, depth, try_halving=builder._try_halving):
+        tried[blocks] = state(self), len(emitted)
+        return try_halving(self, blocks, depth)
+
+    def flip(self, blocks, depth, flip=builder._flip):
+        if blocks in tried:
+            before, start = tried.pop(blocks)
+            fell_back.append((state(self) == before, len(emitted) - start))
+        return flip(self, blocks, depth)
+
+    for name, watched in (("emit", emit), ("_try_halving", try_halving), ("_flip", flip)):
+        monkeypatch.setattr(builder, name, watched)
+    with pytest.raises(GenerationError):
+        gen_certificate(ProofContext(*args))
+    assert any(n for _, n in fell_back)
+    assert all(same for same, _ in fell_back)
 
 
 def test_generation_reports_small_p():
@@ -809,9 +834,9 @@ def test_chain_that_misses_an_index_is_a_small_p(monkeypatch):
     """Step one names each index by a derivation that finds a plausible
     tuple forcing it, or raises a GenerationError naming the index: at
     b = 0 for each of 0..2a in turn, and at b = 1 for each index `forced`
-    is asked for.  Generation, which falls back from a halving to a
-    completion when a derivation fails, may name a later cause; no run
-    reaches the self-check."""
+    is asked for.  Generation falls back from a halving to a completion
+    when a derivation fails, and names both causes; no run reaches the
+    self-check."""
     # every split puts its whole budget on one entry, so 0 is on k's side
     # in every split of a k below the threshold
     monkeypatch.setattr(certificates, "_near_equal",
@@ -821,7 +846,7 @@ def test_chain_that_misses_an_index_is_a_small_p(monkeypatch):
     ctx = ProofContext(1, 3, "4a", 13, 1)
     with pytest.raises(GenerationError, match=r"^no plausible tuple forces \('sigma', 0\)$"):
         certificates._CertBuilder(ctx).forced(0)
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError, match=r"no plausible tuple forces \('sigma', \d+\)"):
         gen_certificate(ctx)
 
 

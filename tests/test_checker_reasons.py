@@ -124,6 +124,10 @@ FIELD_EDITS = [
      "malformed node: missing field 'k'"),
     (CASE_4A, "double_cyclicity", _set("claim", "blocks", [0, 2] + [1] * 11),
      "row-wise reading needs step size at most one"),
+    # the vector above is no almost rectangle; this one is one of step 2,
+    # with the block sum, 51, of the rectangle the node names
+    (CASE_4A, "double_cyclicity", _set("claim", "blocks", FINALE_A),
+     "row-wise reading needs step size at most one"),
     (CASE_4A, "double_cyclicity", _set("claim", "kind", "forced"),
      "claim does not name the flattened rectangle"),
     (CASE_4A, "halving", _set("claim", "kind", "forced"),
@@ -164,8 +168,14 @@ FIELD_EDITS = [
 ]
 
 
-@pytest.mark.parametrize("args,tag,edit,reason", FIELD_EDITS,
-                         ids=[f"{e[1]}-{e[3]}" for e in FIELD_EDITS])
+def _ids(rows) -> list:
+    """tag-reason for each row; a repeat gets ' (n)' at its n-th time."""
+    ids = [f"{e[1]}-{e[3]}" for e in rows]
+    return [x if ids.index(x) == i else f"{x} ({ids[:i + 1].count(x)})"
+            for i, x in enumerate(ids)]
+
+
+@pytest.mark.parametrize("args,tag,edit,reason", FIELD_EDITS, ids=_ids(FIELD_EDITS))
 def test_field_edit_gives_its_reason_at_its_node(args, tag, edit, reason):
     obj = json.loads(_text(args))
     i = _first(obj, tag)
