@@ -16,19 +16,15 @@ tuple of (column, coefficient) pairs with increasing columns and nonzero
 coefficients, so every pass over the rows costs O(nonzeros).
 
 The promise solver translates instances through the recipe the classifier
-recognized.  Constraints whose variable tuple repeats a variable are routed
-through explicit convex-combination columns in the LP backend, because a
-single weight row is not exact under repetition.  Before the LP, each
-component of the 2-colored disequality graph becomes one column, so the
-disequality rows disappear; the point is lifted back and re-checked against
-the untransformed rows.
+recognized.  Before the LP, each component of the 2-colored disequality
+graph becomes one column, so the disequality rows disappear; the point is
+lifted back and re-checked against the untransformed rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
@@ -406,10 +402,6 @@ class PromiseAnswer:
     yes: bool
     witness: Optional[object] = None
 
-    @property
-    def answer(self) -> str:
-        return "Yes" if self.yes else "No"
-
 
 def _collapse(tup) -> List[Tuple[int, int]]:
     """Distinct variables of a constraint tuple with their multiplicities."""
@@ -441,25 +433,11 @@ def _gf2_translate(t: Template, inst: Instance) -> GF2System:
     return GF2System(inst.var_count, tuple(rows), tuple(rhs))
 
 
-def _dio_translate(t: Template, inst: Instance) -> IntLinearSystem:
-    rows, rhs = [], []
-    for ri, tup in inst.constraints:
-        a, _ = t.pairs[ri]
-        if a.is_neq():
-            target = 1
-        elif len(a.weights) == 1:
-            (target,) = a.weights
-        else:
-            raise UnsupportedTemplateError("integer backend needs exact-weight relations")
-        rows.append(tuple(_collapse(tup)))
-        rhs.append(target)
-    return IntLinearSystem(inst.var_count, tuple(rows), tuple(rhs))
-
-
 def _weight_sense(a: BoolRelation):
-    """The weight row of an A side the LP recipe sees: disequality, exact or
-    at-most (the polarity swap turns every at-least shape into at-most)."""
-    w = set(a.weights)
+    """The weight row of an A side the LP and integer recipes see:
+    disequality, exact or at-most (the polarity swap turns every at-least
+    shape into at-most)."""
+    w = a.weights
     if a.is_neq():
         return "=", 1
     if len(w) == 1:
@@ -470,32 +448,20 @@ def _weight_sense(a: BoolRelation):
 
 
 def _lp_translate(t: Template, inst: Instance) -> RationalInequalitySystem:
-    """Weight rows in constraint order, then each repeated constraint's
-    convex-combination rows, over columns numbered as they are met."""
-    rows, conv_rows = [], []
-    total = inst.var_count
-    for ri, tup in inst.constraints:
-        a, _ = t.pairs[ri]
-        groups = _collapse(tup)
-        if len(groups) == len(tup):
-            sense, bound = _weight_sense(a)
-            rows.append((tuple(groups), sense, Fraction(bound)))
-            continue
-        # repetition: the single weight row is not exact, so model the
-        # constraint as a convex combination of its projected points
-        variables = [v for v, _ in groups]
-        points = []
-        for bits in product((0, 1), repeat=len(variables)):
-            expanded = {v: bit for v, bit in zip(variables, bits)}
-            if a.contains(tuple(expanded[v] for v in tup)):
-                points.append(bits)
-        cols = range(total, total + len(points))
-        conv_rows.append((tuple((j, 1) for j in cols), "=", Fraction(1)))
-        for pos, v in enumerate(variables):
-            marg = ((v, -1),) + tuple((j, 1) for j, bits in zip(cols, points) if bits[pos])
-            conv_rows.append((marg, "=", Fraction(0)))
-        total += len(points)
-    return RationalInequalitySystem(total, tuple(rows + conv_rows))
+    """One weight row per constraint, in constraint order: each distinct
+    variable of the tuple with its multiplicity as coefficient."""
+    rows = tuple((tuple(_collapse(tup)), *_weight_sense(t.pairs[ri][0]))
+                 for ri, tup in inst.constraints)
+    return RationalInequalitySystem(inst.var_count, rows)
+
+
+def _dio_translate(t: Template, inst: Instance) -> IntLinearSystem:
+    """The weight rows of `_lp_translate`, which must all be equations."""
+    rows = _lp_translate(t, inst).rows
+    if any(sense != "=" for _, sense, _ in rows):
+        raise UnsupportedTemplateError("integer backend needs exact-weight relations")
+    return IntLinearSystem(inst.var_count, tuple(terms for terms, _, _ in rows),
+                           tuple(rhs for _, _, rhs in rows))
 
 
 def _check_in_b(t: Template, inst: Instance, bits, what: str) -> None:
@@ -543,41 +509,33 @@ def _neq_components(t: Template, inst: Instance):
     return comp, color
 
 
-def _presolve(system: RationalInequalitySystem, nx: int, comp, color):
+def _presolve(system: RationalInequalitySystem, comp, color):
     """Give each disequality component one column.
 
-    Of the first nx variables, x_v becomes x_c for color 0 and 1 - x_c for
-    color 1, where c is v's component and column; the columns after nx
-    keep their order behind the component columns.  A disequality row
-    becomes the constant row 0 = 0.  Rows that become constant are dropped
-    when they hold; None when one fails, which makes the untransformed
-    system infeasible.  Every column, and so every component column, lies
-    in the unit box.
+    x_v becomes x_c for color 0 and 1 - x_c for color 1, where c is v's
+    component and column.  A disequality row becomes the constant row
+    0 = 0.  Rows that become constant are dropped when they hold; None when
+    one fails, which makes the untransformed system infeasible.  Every
+    component column lies in the unit box.
     """
-    k = max(comp, default=-1) + 1
     rows = []
     for terms, sense, rhs in system.rows:
         new = {}
         for j, c in terms:
-            if j >= nx:
-                j = k + j - nx
-            elif color[j]:
-                j, c, rhs = comp[j], -c, rhs - c
-            else:
-                j = comp[j]
-            new[j] = new.get(j, 0) + c
+            if color[j]:
+                c, rhs = -c, rhs - c
+            new[comp[j]] = new.get(comp[j], 0) + c
         new = tuple(sorted((j, c) for j, c in new.items() if c))
         if new:
             rows.append((new, sense, rhs))
         elif not _holds(0, sense, rhs):
             return None
-    return RationalInequalitySystem(k + system.n_vars - nx, tuple(rows))
+    return RationalInequalitySystem(max(comp, default=-1) + 1, tuple(rows))
 
 
 def _lift(point, comp, color) -> List[Fraction]:
     """The inverse of `_presolve`'s substitution."""
-    x = [1 - point[c] if f else point[c] for c, f in zip(comp, color)]
-    return x + point[max(comp, default=-1) + 1:]
+    return [1 - point[c] if f else point[c] for c, f in zip(comp, color)]
 
 
 MAX_ORIENTATION_SEARCH = 1 << 20
@@ -587,17 +545,23 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
     """Decision for the at-most/at-least majority shapes and their exact
     relaxations.
 
-    LP feasibility alone is not promise-sound here: a fractional point can
-    sit on an odd disequality cycle, or leave a tuple of 2r half-valued
-    entries that every rounding sends to 2r ones.  Bipartiteness of the
-    disequality graph plus a search over per-component roundings of the
-    half-valued variables closes exactly those gaps:
+    The LP has one weight row per constraint, a repeated variable weighted
+    by its multiplicity, so the weight of a row counts the tuple's ones by
+    position.  LP feasibility alone is not promise-sound here: a fractional
+    point can sit on an odd disequality cycle, or leave a tuple of 2r
+    half-valued positions that every rounding sends to 2r ones.
+    Bipartiteness of the disequality graph plus a search over per-component
+    roundings of the half-valued variables closes exactly those gaps:
 
-    * any A-side solution yields a bipartite graph, an LP point, and an
-      orientation (its own), so No answers stay sound;
-    * conversely threshold-rounding a feasible point with a clause-respecting
-      orientation lands every tuple at 2r-1 ones or fewer, so Yes answers
-      produce a genuine B-side witness (re-checked before returning).
+    * No stays sound.  An A-side solution y 2-colors the disequality graph
+      and satisfies every weight row, because its weight counts positions.
+      Its own orientation breaks every clause, since 2r half positions at 1
+      would give y at least 2r > r ones.
+    * Yes stays in B.  Under a row's sum x <= r, fewer than 2r positions
+      exceed 1/2.  Exactly 2r reach 1/2 only when all of them are halves
+      and the rest are 0, which is the clause case.  So rounding with a
+      clause-respecting orientation leaves at most 2r - 1 ones in every
+      tuple, and `_check_in_b` still re-checks the witness.
     """
     t_work = t.swap01() if polarity else t
     two_color = _neq_components(t_work, inst)
@@ -605,7 +569,7 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
         return PromiseAnswer(False)
     comp, color = two_color
     full = _lp_translate(t_work, inst)
-    reduced = _presolve(full, inst.var_count, comp, color)
+    reduced = _presolve(full, comp, color)
     if reduced is None:
         return PromiseAnswer(False)
     point = solve_lp_feasible(reduced)
@@ -614,8 +578,7 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
     x = _lift(point, comp, color)
     _check_point(full, x, "lifted LP point")
     # side[v] is the sign of x_v - 1/2
-    side = [(d > 0) - (d < 0) for d in (2 * xv.numerator - xv.denominator
-                                        for xv in x[:inst.var_count])]
+    side = [(d > 0) - (d < 0) for d in (2 * xv.numerator - xv.denominator for xv in x)]
 
     clauses = []
     for ri, tup in inst.constraints:

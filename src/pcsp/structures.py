@@ -31,7 +31,7 @@ class InternalCheckError(RuntimeError):
 FAMILY_KINDS = ("odd", "even", "exact", "atmost", "atleast", "nae", "neq", "full", "const")
 
 # Enumerating all tuples of a weight-set relation is exponential in the arity;
-# refuse above this unless the caller overrides.
+# refuse above this.
 MAX_ENUM_ARITY = 20
 
 # Largest relation arity a template may state: weight sets and the
@@ -505,6 +505,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, f"bad variable count {tokens[1]!r}")
             if var_count > MAX_VARS:
                 raise ParseError(lineno, f"variable count {var_count} above cap {MAX_VARS}")
+            if var_count < 0:
+                raise ParseError(lineno, "var_count must be >= 0")
             continue
         if tokens[0] != "c":
             raise ParseError(lineno, f"expected constraint line, got {tokens[0]!r}")
@@ -514,14 +516,13 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(lineno, "bad integer in constraint")
         if len(nums) < 2:
             raise ParseError(lineno, "constraint needs a pair index and variables")
-        constraints.append((nums[0], tuple(nums[1:])))
+        con = (nums[0], tuple(nums[1:]))
+        if any(not (0 <= v < var_count) for v in con[1]):
+            raise ParseError(lineno, f"variable out of range in constraint {con}")
+        constraints.append(con)
     if var_count is None:
         raise ParseError(1, "missing 'vars' line")
-    try:
-        inst = Instance(var_count, tuple(constraints))
-    except StructureError as e:
-        raise ParseError(1, str(e))
-    return inst
+    return Instance(var_count, tuple(constraints))
 
 
 def format_instance(inst: Instance) -> str:

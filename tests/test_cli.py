@@ -758,3 +758,28 @@ def test_relation_arity_above_the_cap_is_refused(tmp_path, capsys, pair, arity):
 
 def test_variable_count_at_the_cap_is_accepted():
     assert parse_instance(f"vars {MAX_VARS}\n").var_count == MAX_VARS
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# c\nvars -1\n", "line 2: var_count must be >= 0"),
+    ("# c\nvars 3\nc 0 0 1 5\n", "line 3: variable out of range in constraint (0, (0, 1, 5))"),
+], ids=["negative count", "variable out of range"])
+def test_instance_error_names_the_line_that_states_it(tmp_path, capsys, text, message):
+    """Both errors used to read `line 1`, whatever line held the fault."""
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    ipath = tmp_path / "bad.inst"
+    ipath.write_text(text, encoding="utf-8")
+    err = _usage_error(["solve", "-t", tpath, "-i", str(ipath)], capsys)
+    assert err == f"error: {ipath}: {message}\n"
+
+
+def test_relation_too_wide_to_enumerate_is_a_usage_error(tmp_path, capsys):
+    """A template relation above MAX_ENUM_ARITY reaches `_run`'s
+    StructureError clause from both commands that list its tuples."""
+    tpath = tmp_path / "t.tmpl"
+    tpath.write_text("template\npair rin 1 21 nae 21\nend\n", encoding="utf-8")
+    fpath = tmp_path / "f.tt"
+    fpath.write_text(format_function(parity_function(2)), encoding="utf-8")
+    for argv in (["poly", str(fpath), "--is-polymorphism", "-t", str(tpath)],
+                 ["poly", "--enumerate", "2", "-t", str(tpath)]):
+        assert _usage_error(argv, capsys) == "error: refusing to enumerate arity 21 relation\n"

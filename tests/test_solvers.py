@@ -349,21 +349,17 @@ def test_odd_neq_cycle_answers_no():
 
 def test_translated_rows_do_not_depend_on_the_variable_count():
     """The same constraints on variables 0-9 give the same rows at vars 10
-    and vars 100000.  Only the LP's convex-combination columns, numbered
-    after the instance's variables, move with the count."""
+    and vars 100000, over exactly the instance's columns in both systems.
+    A repeated variable is one term whose coefficient is its multiplicity."""
     cons = ((0, (0, 1, 2)), (0, (3, 9, 4)), (0, (5, 5, 6)), (0, (7, 8, 7)))
-    shift = 100000 - 10
-
-    def moved(terms):
-        return tuple((j + shift if j >= 10 else j, c) for j, c in terms)
-
-    small, big = (solvers._lp_translate(CATALOG["two_sat"], Instance(n, cons))
-                  for n in (10, 100000))
-    assert small.n_vars > 10 and big.n_vars == small.n_vars + shift
-    assert big.rows == tuple((moved(terms), sense, rhs) for terms, sense, rhs in small.rows)
-    small, big = (solvers._dio_translate(ONE_IN_THREE, Instance(n, cons)) for n in (10, 100000))
-    assert (big.rows, big.rhs) == (small.rows, small.rhs)
-    assert small.rows[2] == ((5, 2), (6, 1))
+    lp_small, lp_big = (solvers._lp_translate(CATALOG["two_sat"], Instance(n, cons))
+                        for n in (10, 100000))
+    dio_small, dio_big = (solvers._dio_translate(ONE_IN_THREE, Instance(n, cons))
+                          for n in (10, 100000))
+    assert (lp_small.n_vars, lp_big.n_vars) == (dio_small.n_vars, dio_big.n_vars) == (10, 100000)
+    assert lp_big.rows == lp_small.rows and len(lp_small.rows) == len(cons)
+    assert (dio_big.rows, dio_big.rhs) == (dio_small.rows, dio_small.rhs)
+    assert lp_small.rows[2][0] == dio_small.rows[2] == ((5, 2), (6, 1))
 
 
 def test_gf2_witness_is_a_homomorphism(rng):

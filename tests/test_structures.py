@@ -260,3 +260,12 @@ def test_instance_file_round_trip():
         parse_instance("c 0 1 2\n")
     with pytest.raises(ParseError):
         parse_instance("vars 2\nc 0 5 1\n")
+
+
+def test_instance_checks_its_own_count_and_variables():
+    """The parser reports these faults at their lines; an Instance built
+    in code still refuses them."""
+    with pytest.raises(StructureError, match="var_count must be >= 0"):
+        Instance(-1, ())
+    with pytest.raises(StructureError, match="variable out of range"):
+        Instance(3, ((0, (0, 1, 5)),))

@@ -41,7 +41,7 @@ def main() -> None:
         for seed in SEEDS:
             inst = instance(n, m, seed)
             start = time.process_time()
-            answer = solve_pcsp(TEMPLATE, inst).answer
+            answer = "Yes" if solve_pcsp(TEMPLATE, inst).yes else "No"
             elapsed = time.process_time() - start
             total += elapsed
             print(f"n={n} m={m} seed={seed} answer={answer} cpu_s={elapsed:.3f}", flush=True)

@@ -101,8 +101,8 @@ def main() -> None:
         for recipe, make in RECIPES:
             for seed in SEEDS:
                 ans = solve_pcsp(t, make(t, random.Random(f"solve_sweep/{name}/{recipe}/{seed}")))
-                outcome = fingerprint(ans.witness) if ans.yes else "-"
-                print(f"{name} {recipe} {seed} {ans.answer} {outcome}", flush=True)
+                outcome = f"Yes {fingerprint(ans.witness)}" if ans.yes else "No -"
+                print(f"{name} {recipe} {seed} {outcome}", flush=True)
                 count += 1
     elapsed = time.process_time() - start
     print(f"{count} instances, cpu_s={elapsed:.2f}", file=sys.stderr)
