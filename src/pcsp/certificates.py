@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .structures import (CASES, PRESETS, BoolRelation, InternalCheckError, Template,
-                         build_family)
+                         build_family, split_pairs)
 
 
 class CertificateError(ValueError):
@@ -84,6 +84,17 @@ def _ints(values, what: str) -> tuple:
 
 MAX_FLIP_DEPTH = 64
 MAX_FREE_ROOTS = 4
+
+# The most a generated certificate may hold, checked before any node is
+# built: 2a + 1 step-one nodes at b = 0, and at b >= 1 the 2p block entries
+# that each boundedness node names, one node per pattern pair.  The checker
+# has no such cap: it reads a large-p certificate promptly.
+MAX_GENERATED = 1 << 17
+
+
+def _refuse_oversized(size: int, what: str) -> None:
+    if size > MAX_GENERATED:
+        raise CertificateError(f"certificate needs {size} {what}, above cap {MAX_GENERATED}")
 
 
 # Miller-Rabin on the prime bases up to 41 is exact below this bound
@@ -1325,8 +1336,10 @@ class _CertBuilder:
         `tame_base` conclusion replays, outward from the threshold: a,
         a + 1, a - 1, a + 2, a - 2, and so on.  So the entries of each
         derivation, which lie nearer the threshold, are mostly named
-        already."""
+        already.  Refuses a context whose 2a + 1 nodes pass
+        MAX_GENERATED before naming any."""
         a = self.ctx.a
+        _refuse_oversized(2 * a + 1, "step-one nodes")
         self.derive(a)
         for i in range(1, a + 1):
             self.derive(a + i)
@@ -1426,7 +1439,9 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
     derivations of only the step-one indices those subproofs cite.
     Failures (an interval with too few integers, an index no tuple forces,
     completion running out of range) raise GenerationError: the
-    parameters, usually p, are too small.  When a halving fails and the
+    parameters, usually p, are too small.  A context whose certificate
+    would pass MAX_GENERATED is refused with CertificateError before
+    anything is generated.  When a halving fails and the
     completion it falls back to fails too, the message names both causes,
     the halving's in parentheses.
 
@@ -1438,6 +1453,8 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
         cb.derive_tame_range()
     else:
         ints = _pigeonhole_interval(ctx)
+        pairs = len(ints) * (len(ints) - 1) // 2
+        _refuse_oversized(2 * ctx.p * pairs, "block entries in boundedness nodes")
         if len(ints) < ctx.b + 1:
             raise GenerationError(
                 f"p too small for b: interval has {len(ints)} integers, "
@@ -1487,10 +1504,8 @@ def _match_template(ctx: ProofContext, template: Template):
     is taken from the template as given: the verifier's deductions must hold
     against the actual relaxed relation, whatever it is.
     """
-    from .classifier import _split  # shared pair bookkeeping
-
     for t in (template, template.swap01()):
-        neqs, others = _split(t)
+        neqs, others = split_pairs(t)
         if others is None or len(others) != 1:
             continue
         a_rel, b_rel = others[0]

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .structures import BoolRelation, StructureError, Template
+from .structures import BoolRelation, StructureError, Template, build_family, split_pairs
 
 
 class UnsupportedTemplateError(ValueError):
@@ -92,22 +92,6 @@ class Verdict:
 # shape helpers
 # ---------------------------------------------------------------------------
 
-def _dedup_pairs(t: Template):
-    seen = set()
-    out = []
-    for a, b in t.pairs:
-        key = (a.arity, frozenset(a.weights), frozenset(b.weights),
-               a.explicit_tuples, b.explicit_tuples)
-        if key not in seen:
-            seen.add(key)
-            out.append((a, b))
-    return out
-
-
-def _is_neq_pair(a: BoolRelation, b: BoolRelation) -> bool:
-    return a.is_neq() and b.is_neq()
-
-
 def _weight_pair(a: BoolRelation, b: BoolRelation):
     return set(a.weights), set(b.weights), a.arity
 
@@ -120,23 +104,10 @@ def _even_weights(s: int):
     return {w for w in range(s + 1) if w % 2 == 0}
 
 
-def _split(t: Template):
-    """Deduplicated (neq pairs, other symmetric pairs); None if non-symmetric."""
-    neqs, others = [], []
-    for a, b in _dedup_pairs(t):
-        if _is_neq_pair(a, b):
-            neqs.append((a, b))
-        elif a.symmetric and b.symmetric:
-            others.append((a, b))
-        else:
-            return None, None
-    return neqs, others
-
-
 def match_basic(t: Template) -> Optional[BasicCase]:
     """Match the non-disequality pairs against one basic item, exactly,
     trying the identity and the 0/1 swap."""
-    neqs, others = _split(t)
+    neqs, others = split_pairs(t)
     if others is None or not others:
         return None
     if len(others) != 1:
@@ -169,7 +140,7 @@ def _match_main_relaxation(t: Template) -> Optional[tuple]:
     Returns (theorem_item, r, s, mirrored): item 1 when r < s/2, item 3 when
     r = s/2 and r is even.  Returns None otherwise.
     """
-    neqs, others = _split(t)
+    neqs, others = split_pairs(t)
     if others is None or len(others) != 1 or not neqs:
         return None
     for mirrored in (False, True):
@@ -218,7 +189,7 @@ def _tractable_shape_exists(t: Template) -> bool:
     one fixed item supplying pair shapes, plus trivial pairs.  `classify`,
     the caller, has already returned on a template with a non-symmetric
     pair."""
-    neqs, others = _split(t)
+    neqs, others = split_pairs(t)
 
     def trivial_cover(wa, wb, s, f_swap, g_swap) -> bool:
         fa = _apply_swap(wa, s, f_swap)
@@ -276,7 +247,7 @@ def classify(t: Template) -> Verdict:
     shapes are tractable but provably not finitely tractable.  Unrecognized
     templates stay Unknown rather than extrapolating.
     """
-    neqs, others = _split(t)
+    neqs, others = split_pairs(t)
     if others is None:
         return Verdict(Complexity.UNKNOWN, Finiteness.UNKNOWN)
     if not others:
@@ -351,8 +322,6 @@ def catalog_templates(max_s: int = 8):
     Yields (label, template).  Items (a) and (b) carry disequality; item (c)
     templates are bare exact/not-all-equal pairs.
     """
-    from .structures import build_family
-
     neq = build_family("neq")
     for s in range(1, max_s + 1):
         for parity in ("odd", "even"):

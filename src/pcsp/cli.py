@@ -11,11 +11,10 @@ import argparse
 import contextlib
 import gc
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
-from . import classifier, structures
+from . import structures
 
 
 def _lazy(name: str):
@@ -36,6 +35,7 @@ def _lazy(name: str):
 
 
 certificates = _lazy("certificates")
+classifier = _lazy("classifier")
 polymorphisms = _lazy("polymorphisms")
 solvers = _lazy("solvers")
 
@@ -76,6 +76,8 @@ def _cmd_classify(args, out) -> int:
     verdict = classifier.classify(t)
     out.write(classifier.format_verdict(verdict) + "\n")
     if args.json:
+        import json  # here, so that no other command imports it
+
         spec = verdict.sandwich
         payload = {
             "complexity": verdict.complexity.value,

@@ -562,6 +562,11 @@ def _solve_majority_path(t: Template, inst: Instance, polarity: bool) -> Promise
       and the rest are 0, which is the clause case.  So rounding with a
       clause-respecting orientation leaves at most 2r - 1 ones in every
       tuple, and `_check_in_b` still re-checks the witness.
+
+    None of the four No returns is checked yet: an odd disequality cycle,
+    a presolve contradiction, an infeasible LP and a failed orientation
+    search each return No without a refutation that is re-checked.  Only
+    the Yes witness is.
     """
     t_work = t.swap01() if polarity else t
     two_color = _neq_components(t_work, inst)

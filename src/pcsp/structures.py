@@ -241,6 +241,28 @@ class Template:
         return self.pairs[pair_index][0].arity
 
 
+def split_pairs(t: Template):
+    """The template's distinct pairs, in order of first occurrence, as
+    (disequality pairs, other symmetric pairs); (None, None) when a pair is
+    not symmetric.  The classifier and the certificate checker read a
+    template's shape through this."""
+    seen = set()
+    neqs, others = [], []
+    for a, b in t.pairs:
+        key = (a.arity, frozenset(a.weights), frozenset(b.weights),
+               a.explicit_tuples, b.explicit_tuples)
+        if key in seen:
+            continue
+        seen.add(key)
+        if a.is_neq() and b.is_neq():
+            neqs.append((a, b))
+        elif a.symmetric and b.symmetric:
+            others.append((a, b))
+        else:
+            return None, None
+    return neqs, others
+
+
 # The four maps {0,1} -> {0,1} (identity, negation, constant 0, constant 1),
 # on bits and on the Hamming weights of arity-k tuples.
 _BIT_MAPS = (lambda x: x, lambda x: 1 - x, lambda x: 0, lambda x: 1)

@@ -1006,6 +1006,27 @@ def test_failed_self_check_is_not_a_small_p(first_distinct_claim_broken):
         find_minimal_p(1, 3, "4a", 0)
 
 
+@pytest.mark.parametrize("args, size", [((1, 3, "4a", 7, 0), 33), ((1, 3, "4a", 13, 1), 26)])
+def test_size_cap_is_what_the_generator_writes(monkeypatch, args, size):
+    """At b = 0 the cap bounds the 2a + 1 step-one nodes; at b >= 1 the 2p
+    block entries of each boundedness node.  A context exactly at the cap
+    is generated, one past it is refused before any node is built."""
+    ctx = ProofContext(*args)
+    monkeypatch.setattr(certificates, "MAX_GENERATED", size)
+    cert = gen_certificate(ctx)
+    if ctx.b:
+        bounded = [n for n in cert.nodes if n.justify["tag"] == "boundedness"]
+        assert 2 * ctx.p * len(bounded) == size
+    else:
+        assert len(cert.nodes) <= size == 2 * ctx.a + 1
+    monkeypatch.setattr(certificates, "MAX_GENERATED", size - 1)
+    with pytest.raises(CertificateError, match=f"certificate needs {size} "):
+        gen_certificate(ctx)
+    # find_minimal_p passes over a refused p as over an unworkable one
+    with pytest.raises(GenerationError, match=f"p={ctx.p}: certificate needs {size} "):
+        find_minimal_p(*args[:3], ctx.b, p_limit=ctx.p)
+
+
 FIXTURE_P7 = Path(__file__).parent / "data" / "cert_1in3_p7_b0_path_refs.json"
 
 

@@ -688,7 +688,7 @@ code = run(sys.argv[1:], io.StringIO())
 print(code, *executed)
 """
 
-_LAZY_MODULES = {"certificates", "polymorphisms", "solvers"}
+_LAZY_MODULES = {"certificates", "classifier", "polymorphisms", "solvers"}
 
 
 def _executed_modules(argv):
@@ -704,9 +704,11 @@ def _executed_modules(argv):
 
 
 def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path):
-    """`cli` keeps certificates, polymorphisms and solvers unexecuted until
-    a subcommand uses one of them.  A template parse error loads none of
-    them: `_load` used to name polymorphisms' FunctionError for every file."""
+    """`cli` keeps certificates, classifier, polymorphisms and solvers
+    unexecuted until a subcommand uses one of them; `solvers` runs the
+    classifier for its recipe.  A template parse error loads none of them:
+    `_load` used to name polymorphisms' FunctionError for every file, and
+    `cli` used to import the classifier for every command."""
     t13 = write_template(tmp_path, "t13.tmpl", ONE_IN_THREE)
     bad = tmp_path / "bad.tmpl"
     bad.write_text("template\npair rin 1 3 nae\nend\n", encoding="utf-8")
@@ -715,10 +717,10 @@ def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path):
     fn.write_text(format_function(parity_function(3)), encoding="utf-8")
     cert = str(tmp_path / "c.json")
     runs = [
-        (["classify", "-t", t13], 1, set()),
+        (["classify", "-t", t13], 1, {"classifier"}),
         (["classify", "-t", str(bad)], 2, set()),
-        (["table", "--max-s", "3"], 0, set()),
-        (["solve", "-t", t13, "-i", inst], 0, {"solvers"}),
+        (["table", "--max-s", "3"], 0, {"classifier"}),
+        (["solve", "-t", t13, "-i", inst], 0, {"classifier", "solvers"}),
         (["poly", str(fn), "--cyclic"], 0, {"polymorphisms"}),
         (["certify", "-r", "1", "-s", "3", "--case", "4a", "-p", "7", "-b", "0",
           "-o", cert], 0, {"certificates"}),
@@ -729,6 +731,44 @@ def test_each_subcommand_executes_only_the_modules_it_runs(tmp_path):
         assert (got_code, got_lazy) == (code, lazy), argv
         assert err == (f"error: {bad}: line 2: nae expects 1 parameter(s)\n"
                        if code == 2 else "")
+
+
+def test_poly_leaves_json_unloaded(tmp_path):
+    """Only `classify --json` and the certificate module write JSON; `cli`
+    used to import json for every command."""
+    import subprocess
+    import sys
+
+    fn = tmp_path / "par3.tt"
+    fn.write_text(format_function(parity_function(3)), encoding="utf-8")
+    script = ("import io, sys\nfrom pcsp.cli import run\n"
+              "print(run(sys.argv[1:], io.StringIO()), 'json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, "poly", str(fn), "--cyclic"],
+                          capture_output=True, text=True, env=child_env(), check=True)
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+
+
+@pytest.mark.parametrize("p, b, message", [
+    (1009, 0, "certificate needs 678721 step-one nodes, above cap 131072"),
+    (100000000003, 1, "certificate needs 200000000006 block entries in boundedness "
+                      "nodes, above cap 131072"),
+])
+def test_certify_above_the_size_cap_is_refused(capsys, p, b, message):
+    """p = 100000000003, b = 1 used to end in a MemoryError traceback with
+    exit 1 (the NO code), and p = 1009, b = 0 took 18 s of CPU and 1.2 GB;
+    such a context is now refused before anything is generated."""
+    err = _usage_error(["certify", "-r", "1", "-s", "3", "--case", "4a",
+                        "-p", str(p), "-b", str(b)], capsys)
+    assert err == f"error: {message}\n"
+
+
+def test_certify_below_the_size_cap_still_certifies(tmp_path):
+    cert = tmp_path / "c.json"
+    code, out = invoke(["certify", "-r", "1", "-s", "3", "--case", "4a", "-p", "409",
+                        "-b", "1", "-o", str(cert)])
+    assert code == 0 and out.endswith(" nodes, contradiction)\n"), out
+    assert invoke(["verify", str(cert), "-t",
+                   write_template(tmp_path, "t13.tmpl", ONE_IN_THREE)]) == (0, "VALID\n")
 
 
 @pytest.mark.parametrize("count", [MAX_VARS + 1, 3000000, 10 ** 40])

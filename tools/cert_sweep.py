@@ -17,7 +17,7 @@ import time
 
 from pcsp.certificates import (CASES, CertificateError, GenerationError, ProofContext,
                                certificate_to_json, gen_certificate)
-from pcsp.solvers import InternalCheckError
+from pcsp.structures import InternalCheckError
 
 MAX_S = 9
 P_BELOW = 80

@@ -16,7 +16,13 @@ so the checkout's own `__pycache__` is neither read nor written:
 * `cached`: the copy is compiled first (`compileall`), so every run reads
   bytecode.
 
-Usage: python3 tools/startup.py [--src DIR] [--repeat 15]
+With --base, a second `src/` directory is measured beside the first: for
+each command and mode the two trees' runs alternate, the tree that goes
+first swapping every run, so that drift of the machine between runs falls
+on both.  The two trees' columns are printed, then `delta`, the median of
+--src minus the median of --base.
+
+Usage: python3 tools/startup.py [--src DIR] [--base DIR] [--repeat 15]
 (--src is the `src/` directory to measure; by default this checkout's.)
 """
 
@@ -63,30 +69,47 @@ def child_cpu(argv, env, cwd, expect: int) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    ap.add_argument("--base", type=Path, help="a second src/ directory to compare with")
     ap.add_argument("--repeat", type=int, default=15)
     args = ap.parse_args()
-    if not (args.src / "pcsp" / "cli.py").is_file():
-        raise SystemExit(f"no pcsp sources under {args.src}")
+    trees = {"src": args.src} if args.base is None else {"base": args.base, "src": args.src}
+    for src in trees.values():
+        if not (src / "pcsp" / "cli.py").is_file():
+            raise SystemExit(f"no pcsp sources under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, text in INPUTS.items():
             (tmp / name).write_text(text, encoding="utf-8")
-        modes = {}
+        envs = {}  # mode -> tree -> environment
         for mode in ("no-cache", "cached"):
-            copy = tmp / mode
-            shutil.copytree(args.src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-            if mode == "cached":
-                compileall.compile_dir(copy, quiet=1)
-            modes[mode] = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
-        child_cpu(CERTIFY + ["-o", "cert.json"], modes["cached"], tmp, 0)
+            for tree, src in trees.items():
+                copy = tmp / f"{tree}-{mode}"
+                shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+                if mode == "cached":
+                    compileall.compile_dir(copy, quiet=1)
+                envs.setdefault(mode, {})[tree] = {**os.environ, "PYTHONPATH": str(copy),
+                                                   "PYTHONDONTWRITEBYTECODE": "1"}
+        child_cpu(CERTIFY + ["-o", "cert.json"], envs["cached"]["src"], tmp, 0)
         print(f"python {sys.version.split()[0]}, {args.repeat} runs each, "
               f"CPU ms (user + system)")
-        print(f"{'command':10} {'mode':9} {'min':>7} {'median':>7}")
+        print(f"{'command':10} {'mode':9}"
+              + "".join(f" {tree + ' min':>9} {tree + ' median':>11}" for tree in trees)
+              + (f" {'delta':>7}" if len(trees) > 1 else ""))
         for command, rest, expect in COMMANDS:
-            for mode, env in modes.items():
-                ms = [1000 * child_cpu([command, *rest], env, tmp, expect)
-                      for _ in range(args.repeat)]
-                print(f"{command:10} {mode:9} {min(ms):7.1f} {statistics.median(ms):7.1f}")
+            for mode, by_tree in envs.items():
+                ms = {tree: [] for tree in trees}
+                order = list(trees)
+                for _ in range(args.repeat):
+                    for tree in order:
+                        ms[tree].append(1000 * child_cpu([command, *rest], by_tree[tree],
+                                                         tmp, expect))
+                    order.reverse()
+                medians = {tree: statistics.median(v) for tree, v in ms.items()}
+                line = f"{command:10} {mode:9}" + "".join(
+                    f" {min(ms[tree]):9.1f} {medians[tree]:11.1f}" for tree in trees)
+                if len(trees) > 1:
+                    line += f" {medians['src'] - medians['base']:+7.1f}"
+                print(line)
 
 
 if __name__ == "__main__":
