@@ -1134,17 +1134,10 @@ def _check_node(node: Node, ctx: ProofContext, q_weights: frozenset,
                 return "claim does not name the two finale rectangles"
         if not (theta * p - 2 * b < z21 < z22 < theta * p and 0 <= z21):
             return "pattern heights leave the pigeonhole interval"
-        m = (p - 1) // 2
-        z1h = _finale_heights(ctx, z21)
-        zb1 = tuple([z1h] * m + [z21] * (p - m))
-        zb2 = tuple([z1h] * m + [z22] * (p - m))
-        # The interval and the maximality of z1h put z1h strictly between
-        # theta*p and theta*p + 3b, so zb2 (p - m > m blocks raised) lies
-        # above the threshold and both steps are below 5b.
-        for zb in (zb1, zb2):
-            if not near_threshold(zb, ctx):
-                return "finale rectangle is not near-threshold"
-        want = claim_distinct(rect_term(zb1), rect_term(zb2))
+        zbs = _finale_rectangles(ctx, z21, z22)
+        if zbs is None:
+            return "finale rectangle is not near-threshold"
+        want = claim_distinct(rect_term(zbs[0]), rect_term(zbs[1]))
         if claim != want:
             return "claim does not name the two finale rectangles"
         return _deduce_claim(claim, ctx, None, facts)
@@ -1429,6 +1422,23 @@ def _finale_heights(ctx: ProofContext, z2: int) -> int:
     return min(p, math.ceil((ctx.theta * p * p - (p - m) * z2) / m) - 1)
 
 
+def _finale_rectangles(ctx: ProofContext, z21: int, z22: int) -> Optional[tuple]:
+    """The two finale rectangles of the pattern heights z21 < z22: m blocks
+    at the maximal first height `_finale_heights(ctx, z21)`, the other
+    p - m at z21 and at z22 respectively; None unless both are
+    near-threshold.  The generator and the checker's `boundedness` rule
+    build the pair here."""
+    p, m = ctx.p, (ctx.p - 1) // 2
+    z1h = _finale_heights(ctx, z21)
+    zbs = tuple(tuple([z1h] * m + [z2] * (p - m)) for z2 in (z21, z22))
+    # The interval and the maximality of z1h put z1h strictly between
+    # theta*p and theta*p + 3b, so the second rectangle (p - m > m blocks
+    # raised) lies above the threshold and both steps are below 5b.
+    if not all(near_threshold(zb, ctx) for zb in zbs):
+        return None
+    return zbs
+
+
 def gen_certificate(ctx: ProofContext) -> "Certificate":
     """Generate the full certificate for the context.
 
@@ -1459,16 +1469,13 @@ def gen_certificate(ctx: ProofContext) -> "Certificate":
             raise GenerationError(
                 f"p too small for b: interval has {len(ints)} integers, "
                 f"needs {ctx.b + 1}")
-        m = (ctx.p - 1) // 2
         for i, z21 in enumerate(ints):
             for z22 in ints[i + 1:]:
-                z1h = _finale_heights(ctx, z21)
-                zb1 = tuple([z1h] * m + [z21] * (ctx.p - m))
-                zb2 = tuple([z1h] * m + [z22] * (ctx.p - m))
-                for zb in (zb1, zb2):
-                    if not near_threshold(zb, ctx):
-                        raise GenerationError("p too small for b: rectangle "
-                                              "not near-threshold")
+                zbs = _finale_rectangles(ctx, z21, z22)
+                if zbs is None:
+                    raise GenerationError("p too small for b: rectangle "
+                                          "not near-threshold")
+                zb1, zb2 = zbs
                 pair = rect_term(zb1), rect_term(zb2)
                 cb.emit(claim_distinct(*pair), pair,
                         {"tag": "boundedness", "z21": z21, "z22": z22},

@@ -126,8 +126,19 @@ def _format_witness(witness) -> str:
     return " ".join(str(x) for x in witness)
 
 
+# The six operations of `poly`, as argparse destinations; one is run per call.
+_POLY_OPS = ("is_polymorphism", "cyclic", "doubly_cyclic", "compose_eq1", "sigma", "enumerate")
+
+
 def _cmd_poly(args, out) -> int:
+    given = [op for op in _POLY_OPS
+             if getattr(args, op) is not None and getattr(args, op) is not False]
+    if len(given) > 1:
+        raise _CliError("poly takes one operation, got "
+                        + " and ".join("--" + op.replace("_", "-") for op in given))
     if args.enumerate is not None:
+        if args.function is not None:
+            raise _CliError("--enumerate takes no truth-table file")
         t = _load(structures.parse_template, args.template)
         count = 0
         for f in polymorphisms.enumerate_polymorphisms(t, args.enumerate):
@@ -200,9 +211,16 @@ def _cmd_verify(args, out) -> int:
     return EXIT_NEGATIVE
 
 
+# Largest --max-s `table` accepts: the rows grow with its square, and all are
+# built before the first is printed (4 s of CPU at 320).
+MAX_TABLE_S = 128
+
+
 def _cmd_table(args, out) -> int:
     if args.max_s < 1:
         raise _CliError("--max-s must be >= 1")
+    if args.max_s > MAX_TABLE_S:
+        raise _CliError(f"--max-s {args.max_s} above cap {MAX_TABLE_S}")
     rows = classifier.classification_table(args.max_s)
     width = max(len(label) for label, _ in rows)
     for label, verdict in rows:

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 from .classifier import (Complexity, UnsupportedTemplateError, classify,
                          _point_absorbing)
 from .structures import (BoolRelation, Instance, InternalCheckError, StructureError, Template,
-                         check_instance_against)
+                         check_instance_against, hom_exists)
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +664,8 @@ def solve_pcsp(t: Template, inst: Instance) -> PromiseAnswer:
 
 
 def brute_force_promise(t: Template, inst: Instance, cap: int = 16):
-    """Exhaustive (X -> A, X -> B) satisfiability; the testing oracle."""
-    check_instance_against(inst, t)
+    """(X -> A, X -> B) satisfiability, each side decided by `hom_exists`;
+    the testing oracle, for instances of at most `cap` variables."""
     if inst.var_count > cap:
         raise StructureError(f"instance above brute-force cap {cap}")
-
-    def side_sat(side: int) -> bool:
-        rels = [pair[side] for pair in t.pairs]
-        for bits in range(1 << inst.var_count):
-            ok = True
-            for ri, tup in inst.constraints:
-                image = tuple((bits >> v) & 1 for v in tup)
-                if not rels[ri].contains(image):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    return side_sat(0), side_sat(1)
+    return hom_exists(inst, t, 0) is not None, hom_exists(inst, t, 1) is not None

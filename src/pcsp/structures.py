@@ -5,10 +5,11 @@ admissible Hamming weights, so membership is O(arity) and large arities stay
 cheap.  Tuple enumeration is generated on demand.  Relations given by their
 tuples (the `explicit` spec) carry that tuple list instead of weights.
 
-Homomorphism search is exact backtracking with arc-consistency pruning and a
-fixed branching order, so witnesses are reproducible.  Template validation
-and relaxation checks need no search: a map between two-element domains is
-one of four.
+`hom_exists`, the test oracle, decides an instance against either side of a
+template by exact backtracking with arc-consistency pruning and a fixed
+branching order, so witnesses are reproducible.  Template validation and
+relaxation checks need no search: a map between two-element domains is one
+of four.
 """
 
 from __future__ import annotations
@@ -182,17 +183,6 @@ def build_family(kind: str, *args: int) -> BoolRelation:
 
 
 @dataclass(frozen=True)
-class Structure:
-    """A finite relational structure: a domain plus indexed relations, each
-    with its arity (an empty relation has no tuple to read it from).  Its
-    one constructor, `Template.side_structure`, builds them consistent."""
-
-    domain: tuple
-    relations: tuple  # tuple of frozensets of tuples
-    arities: tuple
-
-
-@dataclass(frozen=True)
 class Instance:
     """A constraint instance: variables 0..var_count-1 and indexed constraints."""
 
@@ -226,12 +216,6 @@ class Template:
                 raise StructureError(f"pair arity mismatch: {a} vs {b}")
         if self.check_promise and self.pairs and not _a_maps_to_b(self.pairs):
             raise StructureError("no homomorphism from the A side to the B side")
-
-    def side_structure(self, side: str) -> Structure:
-        idx = 0 if side == "A" else 1
-        rels = tuple(frozenset(pair[idx].tuples()) for pair in self.pairs)
-        arities = tuple(pair[idx].arity for pair in self.pairs)
-        return Structure(domain=(1, 0), relations=rels, arities=arities)
 
     def swap01(self) -> "Template":
         return Template(tuple((a.swap01(), b.swap01()) for a, b in self.pairs),
@@ -293,81 +277,65 @@ def _a_maps_to_b(pairs) -> bool:
     return any(all(_sends_into(h, a, b) for a, b in pairs) for h in range(4))
 
 
-def structure_to_instance(s: Structure):
-    """View a structure as an instance over its own elements.
-
-    Returns (instance, element list); variable i stands for element i.
-    """
-    index = {e: i for i, e in enumerate(s.domain)}
-    constraints = []
-    for ri, rel in enumerate(s.relations):
-        for t in sorted(rel):
-            constraints.append((ri, tuple(index[x] for x in t)))
-    return Instance(len(s.domain), tuple(constraints)), list(s.domain)
+def structure_to_instance(t: Template, side: int) -> Instance:
+    """The canonical instance of side `side` of `t`: variable e stands for
+    element e, and each tuple of each relation is one constraint."""
+    return Instance(2, tuple((ri, tup) for ri, pair in enumerate(t.pairs)
+                             for tup in pair[side].tuples()))
 
 
-def hom_exists(x, target: Structure) -> Optional[dict]:
-    """Search for a homomorphism from `x` (Instance or Structure) to `target`.
-
-    Returns a dict variable -> target element, or None.  Branching is over
-    variables in index order; values are tried in the order of
-    `target.domain`, so the witness is deterministic.
-    """
-    if isinstance(x, Structure):
-        inst, elements = structure_to_instance(x)
-        sol = hom_exists(inst, target)
-        if sol is None:
-            return None
-        return {elements[v]: val for v, val in sol.items()}
-    inst = x
-    if len({ri for ri, _ in inst.constraints} - set(range(len(target.relations)))) > 0:
-        raise StructureError("instance refers to relations the structure lacks")
-    for ri, tup in inst.constraints:
-        if len(tup) != target.arities[ri]:
-            raise StructureError("constraint arity does not match target relation")
-
-    domains = [list(target.domain) for _ in range(inst.var_count)]
-    cons = [(list(target.relations[ri]), tup) for ri, tup in inst.constraints]
+def hom_exists(inst: Instance, t: Template, side: int) -> Optional[dict]:
+    """A homomorphism from `inst` to side `side` of `t` (0 for A, 1 for B),
+    as a dict variable -> 0/1, or None.  Branching is over variables in
+    index order, value 1 before 0, so the witness is deterministic."""
+    check_instance_against(inst, t)
+    rows = {}  # each relation's tuples as bit masks (bit i is entry i), read once per pair
+    for ri, _ in inst.constraints:
+        if ri not in rows:
+            rows[ri] = [sum(x << i for i, x in enumerate(row))
+                        for row in t.pairs[ri][side].tuples()]
 
     def prune(doms) -> bool:
-        # arc consistency on unary projections, to a fixpoint
+        # arc consistency on unary projections, to a fixpoint: a row supports
+        # a constraint when each entry lies in its variable's domain
         changed = True
         while changed:
             changed = False
-            for rel, tup in cons:
-                support = [set() for _ in tup]
-                for t in rel:
-                    if all(t[i] in doms[v] for i, v in enumerate(tup)):
-                        for i in range(len(tup)):
-                            support[i].add(t[i])
+            for ri, tup in inst.constraints:
+                fixed = ones = 0
                 for i, v in enumerate(tup):
-                    newdom = [val for val in doms[v] if val in support[i]]
+                    if len(doms[v]) == 1:
+                        fixed |= 1 << i
+                        ones |= doms[v][0] << i
+                some, every = 0, -1  # entries that are 1 in some / every supporting row
+                for row in rows[ri]:
+                    if row & fixed == ones:
+                        some |= row
+                        every &= row
+                for i, v in enumerate(tup):
+                    newdom = [val for val in doms[v] if (some if val else ~every) >> i & 1]
                     if len(newdom) < len(doms[v]):
+                        if not newdom:
+                            return False
                         doms[v] = newdom
                         changed = True
-                    if not doms[v]:
-                        return False
         return True
 
     def search(doms, var):
+        # doms is arc consistent, with one value left below var
         if var == inst.var_count:
-            return {}
-        for val in list(doms[var]):
-            trial = [list(d) for d in doms]
+            return {v: dom[0] for v, dom in enumerate(doms)}
+        for val in doms[var]:
+            trial = list(doms)
             trial[var] = [val]
             if prune(trial):
-                rest = search(trial, var + 1)
-                if rest is not None:
-                    rest[var] = val
-                    return rest
+                sol = search(trial, var + 1)
+                if sol is not None:
+                    return sol
         return None
 
-    if not prune(domains):
-        return None
-    sol = search(domains, 0)
-    if sol is None:
-        return None
-    return {v: sol[v] for v in range(inst.var_count)}
+    domains = [[1, 0] for _ in range(inst.var_count)]
+    return search(domains, 0) if prune(domains) else None
 
 
 def is_relaxation(t_prime: Template, t: Template) -> bool:

@@ -493,6 +493,31 @@ def test_poly_needs_a_table_and_an_operation(tmp_path, capsys):
         "--compose-eq1, --sigma, --enumerate\n")
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--cyclic", "--sigma", "3"], "--cyclic and --sigma"),
+    (["--cyclic", "--is-polymorphism"], "--is-polymorphism and --cyclic"),
+    (["--doubly-cyclic", "0", "--compose-eq1", "3", "--enumerate", "2"],
+     "--doubly-cyclic and --compose-eq1 and --enumerate"),
+])
+def test_poly_refuses_more_than_one_operation(tmp_path, capsys, flags, named):
+    """`--cyclic --sigma 3` used to print `cyclic` and never run --sigma,
+    and `--cyclic --is-polymorphism` ran only the polymorphism test."""
+    fpath = tmp_path / "f.tt"
+    fpath.write_text(format_function(parity_function(3)), encoding="utf-8")
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    err = _usage_error(["poly", str(fpath), *flags, "-t", tpath], capsys)
+    assert err == f"error: poly takes one operation, got {named}\n"
+
+
+def test_poly_enumerate_refuses_a_truth_table(tmp_path, capsys):
+    """`poly F --enumerate 2 -t T` used to ignore F."""
+    fpath = tmp_path / "f.tt"
+    fpath.write_text(format_function(parity_function(3)), encoding="utf-8")
+    tpath = write_template(tmp_path, "t.tmpl", ONE_IN_THREE)
+    err = _usage_error(["poly", str(fpath), "--enumerate", "2", "-t", tpath], capsys)
+    assert err == "error: --enumerate takes no truth-table file\n"
+
+
 def test_point_absorbing_template_is_finitely_tractable(tmp_path):
     """(1-in-3, at-least-1-in-3) matches no basic item; the all-ones tuple
     lies in its B side, so it reduces to a one-element structure."""
@@ -518,6 +543,17 @@ def test_enumerate_arity_below_one_is_refused(tmp_path, capsys):
 def test_table_max_s_below_one_is_refused(capsys):
     for k in ("0", "-2"):
         assert _usage_error(["table", "--max-s", k], capsys) == "error: --max-s must be >= 1\n"
+
+
+def test_table_max_s_is_capped(capsys):
+    """All rows are built before the first is printed, and --max-s had no
+    upper bound: 320 took 4 s of CPU.  The cap itself is accepted."""
+    cap = cli.MAX_TABLE_S
+    code, out = invoke(["table", "--max-s", str(cap)])
+    assert code == 0 and f"(1-in-{cap},nae-{cap})" in out
+    for k in (cap + 1, 320, 10 ** 40):
+        assert _usage_error(["table", "--max-s", str(k)], capsys) == (
+            f"error: --max-s {k} above cap {cap}\n")
 
 
 @pytest.mark.parametrize("kind", ["template", "instance", "table", "certificate"])

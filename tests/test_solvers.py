@@ -10,7 +10,7 @@ from pcsp.classifier import UnsupportedTemplateError
 from pcsp.solvers import (GF2System, IntLinearSystem, RationalInequalitySystem,
                           brute_force_promise, solve_diophantine, solve_gf2,
                           solve_lp_feasible, solve_pcsp)
-from pcsp.structures import Instance, StructureError, Template, build_family
+from pcsp.structures import Instance, StructureError, Template, build_family, hom_exists
 from conftest import random_instance, template, with_neq
 
 
@@ -330,6 +330,41 @@ def test_promise_soundness_with_repeats(name, rng):
         ans = solve_pcsp(t, inst)
         assert not (a_sat and not ans.yes), (name, inst)
         assert not (not b_sat and ans.yes), (name, inst)
+
+
+@pytest.mark.parametrize("n", [24, 32, 40])
+def test_promise_soundness_past_the_brute_force_horizon(n):
+    """The promise contract on instances too large for `brute_force_promise`,
+    each side decided by `hom_exists`: A-satisfiable gives YES,
+    B-unsatisfiable gives NO, every YES witness lies in B, and each oracle
+    witness lies in its own side.  The densities straddle both sides'
+    thresholds, so satisfiable on both sides, on B only, and on neither all
+    occur."""
+    outcomes = set()
+    for name in ("majority24", "exact_item1", "one_in_three", "two_sat"):
+        t = CATALOG[name]
+        rng = random.Random(f"horizon/{name}/{n}")
+        for _ in range(10):
+            cons = []
+            for _ in range(rng.randint(n // 2, 2 * n)):
+                ri = rng.randrange(len(t.pairs))
+                cons.append((ri, tuple(rng.sample(range(n), t.arity_of(ri)))))
+            inst = Instance(n, tuple(cons))
+            witnesses = [hom_exists(inst, t, side) for side in (0, 1)]
+            for side, w in enumerate(witnesses):
+                if w is not None:
+                    assert all(t.pairs[ri][side].contains(tuple(w[v] for v in tup))
+                               for ri, tup in inst.constraints)
+            a_sat, b_sat = (w is not None for w in witnesses)
+            ans = solve_pcsp(t, inst)
+            assert ans.yes or not a_sat, (name, inst)
+            assert not ans.yes or b_sat, (name, inst)
+            if ans.yes:
+                for ri, tup in inst.constraints:
+                    assert t.pairs[ri][1].contains(tuple(ans.witness[v] for v in tup))
+            outcomes.add({(True, True): "both sides", (False, True): "B only",
+                          (False, False): "neither"}[a_sat, b_sat])
+    assert outcomes == {"both sides", "B only", "neither"}
 
 
 def test_neq_self_loop_answers_no():

@@ -5,7 +5,7 @@ import pytest
 from pcsp.structures import (BoolRelation, Instance, ParseError, StructureError,
                              Template, build_family, format_instance,
                              format_template, hom_exists, is_relaxation,
-                             parse_instance, parse_template)
+                             parse_instance, parse_template, structure_to_instance)
 from conftest import NEQ, template
 
 
@@ -71,30 +71,29 @@ def test_empty_weight_relation_allowed():
     rel = BoolRelation(3, frozenset())
     t = Template(((rel, build_family("full", 3)),))
     inst = Instance(3, ((0, (0, 1, 2)),))
-    assert hom_exists(inst, t.side_structure("A")) is None
+    assert hom_exists(inst, t, 0) is None
 
 
 def test_hom_exists_direct_witness():
     t = template((build_family("exact", 1, 3), build_family("nae", 3)))
     inst = Instance(3, ((0, (0, 1, 2)),))
-    assert hom_exists(inst, t.side_structure("A")) == {0: 1, 1: 0, 2: 0}
+    assert hom_exists(inst, t, 0) == {0: 1, 1: 0, 2: 0}
 
 
 def test_hom_exists_forced_unsat():
     t = template((build_family("exact", 1, 3), build_family("nae", 3)))
     inst = Instance(1, ((0, (0, 0, 0)),))
-    assert hom_exists(inst, t.side_structure("A")) is None
+    assert hom_exists(inst, t, 0) is None
 
 
 def test_hom_exists_empty_instance():
     t = template((build_family("exact", 1, 3), build_family("nae", 3)))
-    assert hom_exists(Instance(0, ()), t.side_structure("A")) == {}
+    assert hom_exists(Instance(0, ()), t, 0) == {}
 
 
-def _exhaustive_hom(inst, structure):
-    rels = structure.relations
-    for values in itertools.product(structure.domain, repeat=inst.var_count):
-        if all(tuple(values[v] for v in tup) in rels[ri]
+def _exhaustive_hom(inst, t, side):
+    for values in itertools.product((1, 0), repeat=inst.var_count):
+        if all(t.pairs[ri][side].contains(tuple(values[v] for v in tup))
                for ri, tup in inst.constraints):
             return True
     return inst.var_count == 0
@@ -103,7 +102,6 @@ def _exhaustive_hom(inst, structure):
 def test_hom_exists_agrees_with_exhaustive(rng):
     t = Template(((build_family("atmost", 1, 3), build_family("atmost", 1, 3)),
                   (NEQ, NEQ)))
-    side = t.side_structure("A")
     for _ in range(50):
         nv = rng.randint(1, 7)
         cons = []
@@ -112,11 +110,11 @@ def test_hom_exists_agrees_with_exhaustive(rng):
             k = 3 if ri == 0 else 2
             cons.append((ri, tuple(rng.randrange(nv) for _ in range(k))))
         inst = Instance(nv, tuple(cons))
-        got = hom_exists(inst, side)
-        assert (got is not None) == _exhaustive_hom(inst, side)
+        got = hom_exists(inst, t, 0)
+        assert (got is not None) == _exhaustive_hom(inst, t, 0)
         if got is not None:
             for ri, tup in inst.constraints:
-                assert tuple(got[v] for v in tup) in side.relations[ri]
+                assert t.pairs[ri][0].contains(tuple(got[v] for v in tup))
 
 
 def test_relaxation_identity_maps():
@@ -188,7 +186,7 @@ def test_template_validation_agrees_with_hom_exists(rng):
             k = rng.randint(1, 4)
             pairs.append((_random_relation(rng, k), _random_relation(rng, k)))
         probe = Template(tuple(pairs), check_promise=False)
-        want = hom_exists(probe.side_structure("A"), probe.side_structure("B")) is not None
+        want = hom_exists(structure_to_instance(probe, 0), probe, 1) is not None
         try:
             Template(tuple(pairs))
             got = True
@@ -208,8 +206,8 @@ def test_relaxation_agrees_with_hom_exists(rng):
         t_prime, t = (Template(tuple((_random_relation(rng, k), _random_relation(rng, k))
                                      for k in arities), check_promise=False)
                       for _ in range(2))
-        want = (hom_exists(t_prime.side_structure("A"), t.side_structure("A")) is not None
-                and hom_exists(t.side_structure("B"), t_prime.side_structure("B")) is not None)
+        want = (hom_exists(structure_to_instance(t_prime, 0), t, 0) is not None
+                and hom_exists(structure_to_instance(t, 1), t_prime, 1) is not None)
         assert is_relaxation(t_prime, t) == want, (t_prime, t)
         outcomes.add(want)
     assert outcomes == {True, False}
